@@ -28,6 +28,9 @@ __all__ = [
 ]
 
 KINDS = ("ode", "rd", "spectral_gap", "sweep")
+# Most grid cells a config may ask for: far beyond what the dense operators
+# can hold, and a bound on the memory of sampling profiles while parsing.
+MAX_CELLS = 10**6
 
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
 _CONSTANTS = {"pi": math.pi, "e": math.e}
@@ -80,13 +83,23 @@ def _validate_node(node: ast.AST) -> None:
 
 
 def compile_expression(text: str) -> Expression:
-    """Parse and validate a profile expression; '^' means power."""
+    """Parse and validate a profile expression; '^' means power.
+
+    Numeric constants are compiled as floats, so constant arithmetic such
+    as ``9^9^9`` overflows at once instead of building a huge integer.
+    """
     source = text.replace("^", "**")
     try:
         tree = ast.parse(source, mode="eval")
     except SyntaxError as exc:
         raise ExpressionError(f"cannot parse '{text}': {exc.msg}") from exc
     _validate_node(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant):
+            try:
+                node.value = float(node.value)
+            except OverflowError as exc:
+                raise ExpressionError(f"constant too large in '{text}'") from exc
     uses_x = any(isinstance(n, ast.Name) and n.id == "x"
                  for n in ast.walk(tree))
     return Expression(text=text, uses_x=uses_x,
@@ -149,6 +162,26 @@ _KNOWN_KEYS = {
 _DEFAULT_T_END = {"ode": 8.0, "rd": 5.0, "sweep": 5.0, "spectral_gap": 1.0}
 
 
+def _sample_points(n_cells: int, domain_length: float) -> np.ndarray:
+    """Cell centres and faces of the grid, bitwise as the generator builds them."""
+    return np.arange(2 * n_cells + 1) * (0.5 * (domain_length / n_cells))
+
+
+def _check_profile(reader, path: str, expr: Expression, points) -> None:
+    """Report a profile that cannot be evaluated or is not finite on the grid."""
+    try:
+        with np.errstate(all="ignore"):
+            values = expr(points)
+    except (ArithmeticError, TypeError) as exc:
+        # TypeError: a negative base to a fractional power gives a complex.
+        reader.report("arithmetic-error", path,
+                      f"cannot evaluate '{expr.text}': {exc}")
+        return
+    if not np.all(np.isfinite(values)):
+        reader.report("non-finite-profile", path,
+                      f"'{expr.text}' is not finite on the grid")
+
+
 class _Reader:
     """Typed section/key access that records issues instead of raising."""
 
@@ -180,16 +213,20 @@ class _Reader:
             return default
         return value
 
-    def integer(self, section, key, default=None, required=False, minimum=None):
+    def integer(self, section, key, default=None, required=False, minimum=None,
+                maximum=None):
         value = self.number(section, key, None, required)
         if value is None:
             return default
-        if value != int(value):
+        if not math.isfinite(value) or value != int(value):
             self.report("bad-value", f"{section}.{key}", "must be an integer")
             return default
         value = int(value)
         if minimum is not None and value < minimum:
             self.report("bad-value", f"{section}.{key}", f"must be >= {minimum}")
+            return default
+        if maximum is not None and value > maximum:
+            self.report("bad-value", f"{section}.{key}", f"must be <= {maximum}")
             return default
         return value
 
@@ -308,15 +345,18 @@ def parse_config(text: str) -> ScenarioConfig:
     diffusivity = "1"
     refinement: tuple[int, ...] = (50, 100, 200, 400)
     if needs_diffusion and parser.has_section("diffusion"):
-        n_cells = reader.integer("diffusion", "n", default=200, minimum=3)
+        n_cells = reader.integer("diffusion", "n", default=200, minimum=3,
+                                 maximum=MAX_CELLS)
         domain_length = reader.number("diffusion", "domain_length",
                                       default=1.0, positive=True)
         potential = reader.raw("diffusion", "psi", default="0")
         diffusivity = reader.raw("diffusion", "diffusivity", default="1")
         refinement = reader.integers("diffusion", "refinement", refinement)
+        points = _sample_points(n_cells, domain_length)
         for key, expr in (("psi", potential), ("diffusivity", diffusivity)):
             try:
-                compile_expression(expr)
+                _check_profile(reader, f"diffusion.{key}",
+                               compile_expression(expr), points)
             except ExpressionError as exc:
                 reader.report("bad-expression", f"diffusion.{key}", str(exc))
     elif kind == "spectral_gap" and not parser.has_section("diffusion"):
@@ -329,6 +369,7 @@ def parse_config(text: str) -> ScenarioConfig:
             reader.report("missing-field", "initial", "section is required")
         else:
             exprs = []
+            points = _sample_points(n_cells, domain_length)
             for i in range(1, q + 1):
                 key = f"species_{i}"
                 text_i = reader.raw("initial", key, required=True)
@@ -342,6 +383,7 @@ def parse_config(text: str) -> ScenarioConfig:
                 if kind == "ode" and expr.uses_x:
                     reader.report("nonconstant-initial", f"initial.{key}",
                                   "well-mixed scenarios need constant initial data")
+                _check_profile(reader, f"initial.{key}", expr, points)
                 exprs.append(text_i)
             for key in parser.options("initial"):
                 if not key.startswith("species_"):

@@ -45,7 +45,8 @@ class DiscreteDiffusion:
     eigenvalues : (n,) array
         Spectrum of ``-L``, ascending; ``eigenvalues[0] == 0``.
     eigenvectors : (n, n) array
-        Columns orthonormal in the weighted inner product.
+        Columns orthonormal in the weighted inner product; column 0 is
+        exactly 1 and the others have weighted mean zero to roundoff.
     gap_constant : float
         ``1 / (2 * eigenvalues[1])``; the variance of any grid function
         decays at least like ``exp(-t / gap_constant)`` under the semigroup.
@@ -126,13 +127,20 @@ def build_generator(n: int, domain_length: float = 1.0, potential=None,
     diag = -np.diag(gen)
     offdiag = -cond / np.sqrt(rho_centers[:-1] * rho_centers[1:])
     values, vectors = eigh_tridiagonal(diag, offdiag)
-    eigenvectors = vectors / np.sqrt(weights)[:, None]
+    eigenvectors = vectors
+    eigenvectors /= np.sqrt(weights)[:, None]
 
     kernel_residual = abs(float(values[0]))
     if kernel_residual > max(1e-10, 64 * np.finfo(float).eps * values[-1]):
         raise RuntimeError("constant mode is not in the numerical kernel")
     eigenvalues = np.maximum(values, 0.0)
     eigenvalues[0] = 0.0
+    # The solver's constant mode is constant only to ~1e-12.  Pin it to
+    # exactly 1 and remove the weighted mean from every other mode (one
+    # rank-1 update), so the fluctuation modes are weighted-orthogonal to
+    # constants and the semigroup fixes constants and means to roundoff.
+    eigenvectors -= weights @ eigenvectors
+    eigenvectors[:, 0] = 1.0
     if eigenvalues[1] <= 0:
         raise RuntimeError("vanishing spectral gap; grid is disconnected")
 
@@ -146,7 +154,7 @@ def build_generator(n: int, domain_length: float = 1.0, potential=None,
         weights=weights,
         eigenvalues=eigenvalues,
         eigenvectors=eigenvectors,
-        gap_constant=1.0 / (2.0 * eigenvalues[1]),
+        gap_constant=float(1.0 / (2.0 * eigenvalues[1])),
         kernel_residual=kernel_residual,
     )
 
@@ -178,11 +186,19 @@ def semigroup_apply(diff: DiscreteDiffusion, f, t: float) -> np.ndarray:
 
 
 def propagator(diff: DiscreteDiffusion, t: float) -> np.ndarray:
-    """Dense matrix of the time-``t`` semigroup (for repeated application)."""
+    """Dense matrix of the time-``t`` semigroup (for repeated application).
+
+    Built as ``(F @ F.T) * weights`` with ``F = E * exp(-lambda t / 2)``:
+    the symmetric product is one rank-k update (numpy dispatches ``F @ F.T``
+    to BLAS syrk) and the column scaling is done in place, so the only
+    temporaries are ``F`` and the result.
+    """
     if t < 0:
         raise ValueError("time must be nonnegative")
-    damp = np.exp(-diff.eigenvalues * t)
-    return (diff.eigenvectors * damp) @ (diff.eigenvectors.T * diff.weights)
+    half = diff.eigenvectors * np.exp(-0.5 * t * diff.eigenvalues)
+    matrix = half @ half.T
+    matrix *= diff.weights
+    return matrix
 
 
 def variance(diff: DiscreteDiffusion, f) -> float:

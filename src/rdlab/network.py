@@ -13,6 +13,7 @@ the sharp kinetic decay constant of the well-mixed dynamics.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -83,10 +84,25 @@ class ReactionNetwork:
     def n_species(self) -> int:
         return int(self.reactants.size)
 
-    @property
+    @cached_property
     def signed_rates(self) -> np.ndarray:
-        """species_rates * (products - reactants); the stoichiometric drift."""
-        return self.species_rates * (self.products - self.reactants)
+        """species_rates * (products - reactants); the stoichiometric drift.
+
+        Computed once and shared, so it is read-only.
+        """
+        rates = self.species_rates * (self.products - self.reactants)
+        rates.flags.writeable = False
+        return rates
+
+    @cached_property
+    def monomial_terms(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """``(species, exponent)`` pairs of the forward and backward monomials.
+
+        Only nonzero exponents are listed, as Python ints; both sides are
+        nonempty because the drift changes sign.
+        """
+        return tuple(tuple((i, int(e)) for i, e in enumerate(side) if e)
+                     for side in (self.reactants, self.products))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,8 @@
 import csv
+import time
 from pathlib import Path
+
+import pytest
 
 from rdlab.cli import main
 
@@ -215,6 +218,19 @@ class TestErrorPaths:
         cfg = _write(tmp_path, "mixed.cfg", text)
         assert main(["verify", cfg, "--out", str(tmp_path / "out")]) == 2
         assert "one side" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("profile, code", [
+        ("9^9^9", "arithmetic-error"),
+        ("exp(1000)", "non-finite-profile"),
+    ])
+    def test_hostile_profile_fails_fast(self, tmp_path, capsys, profile, code):
+        cfg = _write(tmp_path, "hostile.cfg",
+                     RD_QUICK_CFG.replace("species_4 = 2",
+                                          f"species_4 = {profile}"))
+        start = time.perf_counter()
+        assert main(["verify", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert f"[{code}] initial.species_4" in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -127,6 +127,33 @@ value = 2
             parse_config(text)
         assert "nonconstant-initial" in {i.code for i in err.value.issues}
 
+    @pytest.mark.parametrize("key, profile, code", [
+        ("initial.species_2", "9^9^9", "arithmetic-error"),
+        ("initial.species_2", "1/(1 - 1)", "arithmetic-error"),
+        ("initial.species_2", "1/(x - x)", "non-finite-profile"),
+        ("initial.species_2", "exp(1000)", "non-finite-profile"),
+        ("initial.species_2", "1 + exp(1000*x)", "non-finite-profile"),
+        ("diffusion.psi", "9^9^9", "arithmetic-error"),
+        ("diffusion.diffusivity", "1 + x*exp(800)", "non-finite-profile"),
+    ])
+    def test_unusable_profile_reported(self, key, profile, code):
+        section, field = key.split(".")
+        text = MINIMAL_RD + "\n[diffusion]\nn = 8\n"
+        if section == "initial":
+            text = text.replace(f"{field} = 1", f"{field} = {profile}")
+        else:
+            text += f"{field} = {profile}\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert [(i.code, i.path) for i in err.value.issues] == [(code, key)]
+
+    @pytest.mark.parametrize("n", ["inf", "nan", "2000000"])
+    def test_grid_size_must_be_a_bounded_integer(self, n):
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL_RD + f"\n[diffusion]\nn = {n}\n")
+        assert [(i.code, i.path) for i in err.value.issues] \
+            == [("bad-value", "diffusion.n")]
+
     def test_unknown_kind(self):
         with pytest.raises(ConfigError) as err:
             parse_config(MINIMAL_RD.replace("kind = rd", "kind = magic"))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import random_network
 from rdlab.diffusion import build_generator, semigroup_apply
 from rdlab.kinetics import integrate_reaction
 from rdlab.network import steady_state
@@ -50,6 +51,9 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="dt"):
             Scenario(network=two_by_two, diffusion=grid50,
                      v0=np.ones((4, 50)), dt=0.0, t_end=1.0)
+        with pytest.raises(ValueError, match="finite"):
+            Scenario(network=two_by_two, diffusion=grid50,
+                     v0=np.full((4, 50), np.inf), dt=1e-3, t_end=1.0)
 
 
 class TestClampedMassAction:
@@ -63,6 +67,26 @@ class TestClampedMassAction:
     def test_negative_parts_ignored(self, two_by_two):
         v = np.array([[-1.0], [2.0], [0.5], [0.5]])
         assert clamped_mass_action(two_by_two, v)[0] == -0.25
+
+    def test_bitwise_equal_to_per_species_loop(self):
+        def per_species_loop(network, v):
+            vp = np.maximum(v, 0.0)
+            forward = np.ones(v.shape[1:])
+            backward = np.ones(v.shape[1:])
+            for i in range(network.n_species):
+                if network.reactants[i]:
+                    forward = forward * vp[i] ** int(network.reactants[i])
+                if network.products[i]:
+                    backward = backward * vp[i] ** int(network.products[i])
+            return forward - backward
+
+        rng = np.random.default_rng(20)
+        for _ in range(60):
+            network = random_network(rng, coeff_max=3)
+            v = rng.uniform(-0.5, 2.5, (network.n_species, 41))
+            v[:, :3] = 0.0
+            assert np.array_equal(clamped_mass_action(network, v),
+                                  per_species_loop(network, v))
 
 
 class TestStep:
@@ -212,3 +236,77 @@ class TestRunAgainstOracles:
         expected = steady_state(two_by_two, means)
         assert np.allclose(scenario.steady.concentrations,
                            expected.concentrations, rtol=1e-12)
+
+
+def _stepped_reference(scenario):
+    """Unfused reference: iterate ``step`` and recompute every diagnostic."""
+    diff = scenario.diffusion
+    weights = diff.weights
+    network = scenario.network
+    w = network.signed_rates
+    combos0 = scenario.basis @ scenario.v0
+    steady = scenario.steady.concentrations
+
+    def record(state):
+        v = state.v
+        dist = np.sqrt(((v - steady[:, None]) ** 2) @ weights)
+        refs = semigroup_apply(diff, combos0.T, state.t).T
+        resid = np.sqrt(((scenario.basis @ v - refs) ** 2) @ weights)
+        margin = np.inf
+        for i in range(network.n_species):
+            profiles = np.array([scenario.v0[i] / w[i] - scenario.v0[j] / w[j]
+                                 for j in range(network.n_species)
+                                 if w[i] * w[j] < 0]).T
+            bound = (w[i] * semigroup_apply(diff, profiles, state.t)).min(axis=1)
+            margin = min(margin, float((bound - v[i]).min()))
+        return state.t, v, dist, resid, state.clamp_l1, margin
+
+    n_steps = int(round(scenario.t_end / scenario.dt))
+    state = scenario.initial_state()
+    rows = [record(state)]
+    for k in range(1, n_steps + 1):
+        state = step(state, scenario)
+        if k % scenario.sample_every == 0 or k == n_steps:
+            rows.append(record(state))
+    return [np.array(column) for column in zip(*rows)]
+
+
+class TestFusedRun:
+    @pytest.mark.parametrize("name, scale, dt, n_steps, every, reaction", [
+        ("two_by_two", 1.0, 1e-3, 47, 10, True),
+        ("two_by_two", 1.0, 1e-3, 30, 7, False),
+        ("two_by_two", 10.0, 0.1, 20, 3, True),      # clamps every few steps
+        ("self_ionization", 1.0, 1e-3, 25, 1, True),
+        ("self_ionization", 1.0, 2e-3, 40, 40, True),
+    ])
+    def test_matches_step_loop(self, request, grid50, name, scale, dt,
+                               n_steps, every, reaction):
+        network = request.getfixturevalue(name)
+        x = grid50.cell_centers
+        base = np.array([1.0, 1.0, 0.05, 0.05][:network.n_species])
+        v0 = scale * base[:, None] * (1.0 + 0.5 * np.cos(np.pi * x))
+        v0[0] += 0.3 * scale * np.cos(2.0 * np.pi * x) ** 2
+        scenario = Scenario(network=network, diffusion=grid50, v0=v0, dt=dt,
+                            t_end=n_steps * dt, sample_every=every,
+                            include_reaction=reaction)
+        result = run(scenario)
+        times, fields, dist, resid, clamp, margin = _stepped_reference(scenario)
+
+        assert np.array_equal(result.times, times)
+        if scale > 1.0:
+            assert clamp[-1] > 0.0
+        roundoff = 1e-12 * np.abs(fields).max()
+        for got, want in ((result.fields, fields), (result.distances, dist),
+                          (result.conservation, resid),
+                          (result.clamp_l1, clamp),
+                          (result.bound_margin, margin)):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= roundoff
+
+    def test_blowup_raised_by_run(self, self_ionization, grid50):
+        # dt far beyond the RK4 stability limit of the fast kinetics.
+        v0 = np.array([30.0, 1.0, 1.0])[:, None] * np.ones((3, 50))
+        scenario = Scenario(network=self_ionization, diffusion=grid50, v0=v0,
+                            dt=0.05, t_end=2.5)
+        with pytest.raises(BlowUpError):
+            run(scenario)
