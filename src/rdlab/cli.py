@@ -283,6 +283,10 @@ def execute_rd(cfg: ScenarioConfig, out_dir: Path, full: bool,
 def execute_gap(cfg: ScenarioConfig, out_dir: Path, seed: int,
                 quiet: bool, dump_generator: bool):
     """Refinement study of the gap constant plus the fourth-moment sweep."""
+    if dump_generator and cfg.n_cells > diffusion.DENSE_MAX_CELLS:
+        raise ValueError(f"--dump-generator writes the dense {cfg.n_cells} x "
+                         f"{cfg.n_cells} generator; at most "
+                         f"{diffusion.DENSE_MAX_CELLS} cells are allowed")
     psi = compile_expression(cfg.potential)
     a = compile_expression(cfg.diffusivity)
     study = diffusion.refinement_study(cfg.refinement_cells, cfg.domain_length,

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .diffusion import DENSE_MAX_CELLS
+
 __all__ = [
     "Expression",
     "ExpressionError",
@@ -28,8 +30,9 @@ __all__ = [
 ]
 
 KINDS = ("ode", "rd", "spectral_gap", "sweep")
-# Most grid cells a config may ask for: far beyond what the dense operators
-# can hold, and a bound on the memory of sampling profiles while parsing.
+# Most grid cells a config may ask for: a bound on the memory of sampling
+# profiles while parsing.  A grid whose potential or diffusivity depends on
+# x needs the dense eigenbasis, and may have at most DENSE_MAX_CELLS.
 MAX_CELLS = 10**6
 
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
@@ -253,13 +256,17 @@ class _Reader:
                         f"not a space-separated number list: '{text}'")
             return tuple(default)
 
-    def integers(self, section, key, default=()):
+    def grid_sizes(self, section, key, default):
+        """A strictly increasing list of at least two cell counts."""
         values = self.numbers(section, key, None)
         if values is None:
             return tuple(default)
-        if any(v != int(v) or v < 1 for v in values):
+        if (len(values) < 2
+                or any(not 3 <= v <= MAX_CELLS or v != int(v) for v in values)
+                or any(b <= a for a, b in zip(values, values[1:]))):
             self.report("bad-value", f"{section}.{key}",
-                        "must be positive integers")
+                        f"must be at least two strictly increasing integers "
+                        f"in 3..{MAX_CELLS}")
             return tuple(default)
         return tuple(int(v) for v in values)
 
@@ -351,14 +358,25 @@ def parse_config(text: str) -> ScenarioConfig:
                                       default=1.0, positive=True)
         potential = reader.raw("diffusion", "psi", default="0")
         diffusivity = reader.raw("diffusion", "diffusivity", default="1")
-        refinement = reader.integers("diffusion", "refinement", refinement)
+        refinement = reader.grid_sizes("diffusion", "refinement", refinement)
         points = _sample_points(n_cells, domain_length)
+        varying = False
         for key, expr in (("psi", potential), ("diffusivity", diffusivity)):
             try:
-                _check_profile(reader, f"diffusion.{key}",
-                               compile_expression(expr), points)
+                compiled = compile_expression(expr)
             except ExpressionError as exc:
                 reader.report("bad-expression", f"diffusion.{key}", str(exc))
+                continue
+            _check_profile(reader, f"diffusion.{key}", compiled, points)
+            varying = varying or compiled.uses_x
+        if varying:
+            for key, cells in (("n", (n_cells,)), ("refinement", refinement)):
+                if max(cells) > DENSE_MAX_CELLS:
+                    reader.report(
+                        "grid-too-large", f"diffusion.{key}",
+                        "a psi or diffusivity that depends on x needs the "
+                        f"dense eigenbasis, which allows at most "
+                        f"{DENSE_MAX_CELLS} cells")
     elif kind == "spectral_gap" and not parser.has_section("diffusion"):
         reader.report("missing-field", "diffusion", "section is required")
 

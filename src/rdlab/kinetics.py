@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.integrate import quad, solve_ivp
 
 from .analysis import fit_decay_rate
 from .network import ReactionNetwork, SteadyState
@@ -215,6 +214,8 @@ def integrate_reaction(network: ReactionNetwork, v0, t_end: float,
     below the decay time scale so that the sampled tail keeps full relative
     accuracy for rate fitting.
     """
+    from scipy.integrate import solve_ivp
+
     if t_end <= 0:
         raise ValueError("t_end must be positive")
     reduction = pivot_reduction(network, v0)
@@ -264,6 +265,8 @@ def envelope_constant(reduction: ScalarReduction, v0) -> float:
     integral returned here, taken from the initial pivot value to the
     steady value.
     """
+    from scipy.integrate import quad
+
     start = float(np.asarray(v0, dtype=float)[reduction.pivot])
     if start == reduction.fixed_point:
         return 0.0
@@ -288,6 +291,8 @@ def exact_decay_residual(reduction: ScalarReduction, trajectory: Trajectory,
     storage roundoff dominates) and the largest relative difference is
     returned.  This is the strongest self-check of the kinetics path.
     """
+    from scipy.integrate import quad
+
     s = reduction.fixed_point
     q_at_s = npoly.polyval(s, reduction.cofactor_coeffs)
     integrand = _log_factor_integrand(reduction)

@@ -1,20 +1,22 @@
 """Strang-split integrator for reaction-diffusion fields on the interval.
 
-Each time step is a half step of exact diffusion (spectral propagator), a
-full classical RK4 step of the pointwise clamped mass-action kinetics, and
-another half step of diffusion.  The clamped kinetics evaluates the
-mass-action monomials on positive parts, which keeps the continuous flow
-inside the nonnegative orthant; any residual numerical undershoot is zeroed
-after the reaction substep and accounted in ``clamp_l1``.
+Each time step is a half step of exact diffusion (through the grid's modal
+basis), a full classical RK4 step of the pointwise clamped mass-action
+kinetics, and another half step of diffusion.  The clamped kinetics
+evaluates the mass-action monomials on positive parts, which keeps the
+continuous flow inside the nonnegative orthant; any residual numerical
+undershoot is zeroed after the reaction substep and accounted in
+``clamp_l1``.
 
 ``step`` performs one such step.  ``run`` merges the half steps: the closing
 half step of one step and the opening half step of the next compose exactly
-into one full-step propagator, so between samples each step is the reaction
-substep plus one dense full-step matmul.  At a sample the state is taken
-from a closing half step through the weighted eigenbasis while the run
-continues from the full step.  The per-sample references (freely diffused
-conserved combinations and upper-bound profiles) are synthesised from modal
-coefficients computed once per run.
+into one full step of the semigroup, so between samples each step is the
+reaction substep plus one full diffusion step: a dense propagator matmul on
+the dense eigenbasis, a DCT-II pair on a uniform grid (``diffusion``).  At a
+sample the state is taken from a closing half step through the modal basis
+while the run continues from the full step.  The per-sample references
+(freely diffused conserved combinations and upper-bound profiles) are
+synthesised from modal coefficients computed once per run.
 """
 
 from __future__ import annotations
@@ -23,9 +25,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from .diffusion import DiscreteDiffusion, propagator, semigroup_apply, moment4
+from .diffusion import DiscreteDiffusion, semigroup_apply, moment4
 from .network import (ReactionNetwork, SteadyState, conservation_basis,
                       is_two_by_two, steady_state)
 
@@ -102,10 +103,6 @@ class Scenario:
     def basis(self) -> np.ndarray:
         return conservation_basis(self.network)
 
-    @cached_property
-    def half_step_matrix(self) -> np.ndarray:
-        return propagator(self.diffusion, 0.5 * self.dt)
-
     def initial_state(self) -> FieldState:
         return FieldState(t=0.0, v=self.v0.copy(), clamp_l1=0.0)
 
@@ -161,14 +158,15 @@ def _check_bounds(v: np.ndarray, t: float) -> None:
 
 def step(state: FieldState, scenario: Scenario) -> FieldState:
     """Advance one Strang step: half diffusion, reaction RK4, half diffusion."""
-    half = scenario.half_step_matrix
-    v = state.v @ half.T
+    basis = scenario.diffusion.basis
+    half = 0.5 * scenario.dt
+    v = basis.diffuse(state.v, half)
     clamp = state.clamp_l1
     if scenario.include_reaction:
         v, removed = _reaction_substep(scenario.network, v, scenario.dt,
                                        scenario.diffusion.weights)
         clamp += removed
-    v = v @ half.T
+    v = basis.diffuse(v, half)
     _check_bounds(v, state.t + scenario.dt)
     return FieldState(t=state.t + scenario.dt, v=v, clamp_l1=clamp)
 
@@ -218,8 +216,8 @@ def run(scenario: Scenario, snapshot_times=()) -> RunResult:
 
     The result equals iterating ``step`` up to roundoff.  After one opening
     half step, each step is the reaction substep followed by the full-step
-    propagator; a sample takes its state from the closing half step, applied
-    through the weighted eigenbasis, and the run continues from the full
+    diffusion step; a sample takes its state from the closing half step,
+    applied through the modal basis, and the run continues from the full
     step of the pre-closing state, so the trajectory does not depend on the
     sampling cadence.  The blow-up guard looks at the state after each
     reaction substep; the diffusion that follows is Markov and cannot raise
@@ -230,7 +228,7 @@ def run(scenario: Scenario, snapshot_times=()) -> RunResult:
     """
     diff = scenario.diffusion
     weights = diff.weights
-    eigvecs = diff.eigenvectors
+    modal = diff.basis
     lam = diff.eigenvalues
     network = scenario.network
     dt = scenario.dt
@@ -244,7 +242,7 @@ def run(scenario: Scenario, snapshot_times=()) -> RunResult:
     n_combos = len(combos0)
     # Modal coefficients of every reference profile, analysed once; a sample
     # only damps and synthesises them.
-    ref_modes = (np.concatenate((combos0, pair_profiles)) * weights) @ eigvecs
+    ref_modes = modal.analyse(np.concatenate((combos0, pair_profiles)))
     half_damp = np.exp(-0.5 * dt * lam)
 
     n_steps = int(round(scenario.t_end / dt))
@@ -258,7 +256,7 @@ def run(scenario: Scenario, snapshot_times=()) -> RunResult:
         rows = ref_modes * np.exp(-lam * t)
         if leading is not None:
             rows = np.concatenate((leading, rows))
-        return rows @ eigvecs.T
+        return modal.synthesise(rows)
 
     def sample(t: float, v: np.ndarray, clamp: float, refs: np.ndarray):
         deltas = v - steady.concentrations[:, None]
@@ -283,8 +281,8 @@ def run(scenario: Scenario, snapshot_times=()) -> RunResult:
             pending.pop(0)
 
     sample(0.0, scenario.v0.copy(), 0.0, references(0.0))
-    full = propagator(diff, dt)
-    u = (((scenario.v0 * weights) @ eigvecs) * half_damp) @ eigvecs.T
+    full_step = modal.stepper(dt)
+    u = modal.diffuse(scenario.v0, 0.5 * dt)
     t = 0.0
     clamp = 0.0
     for k in range(1, n_steps + 1):
@@ -294,12 +292,12 @@ def run(scenario: Scenario, snapshot_times=()) -> RunResult:
             clamp += removed
         _check_bounds(u, t)
         if k % scenario.sample_every == 0 or k == n_steps:
-            closing = ((u * weights) @ eigvecs) * half_damp
+            closing = modal.analyse(u) * half_damp
             out = references(t, closing)
             # Copy the fields so the record does not pin the whole block.
             sample(t, out[:n_species].copy(), clamp, out[n_species:])
         if k < n_steps:
-            u = u @ full.T
+            u = full_step(u)
 
     times, fields, dist, var, resid, mean_resid, minv, clamp, margin = \
         map(np.array, zip(*records))
@@ -367,13 +365,14 @@ def linear_reference(scenario: Scenario, times, rtol: float = 1e-10,
     if not is_two_by_two(scenario.network):
         raise ValueError("the linear reference applies to the two-by-two "
                          "reaction only")
+    from scipy.integrate import solve_ivp
+
     diff = scenario.diffusion
     gen = diff.generator
     a0, b0, c0, d0 = scenario.v0
 
     def flow(profile):
-        coeffs = diff.eigenvectors.T @ (diff.weights * profile)
-        return lambda t: diff.eigenvectors @ (np.exp(-diff.eigenvalues * t) * coeffs)
+        return lambda t: semigroup_apply(diff, profile, t)
 
     first_pair = flow(a0 + c0)
     second_pair = flow(a0 + d0)

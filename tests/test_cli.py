@@ -1,9 +1,15 @@
 import csv
+import os
+import subprocess
+import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+import rdlab
+from rdlab import diffusion
 from rdlab.cli import main
 
 ODE_CFG = """
@@ -231,6 +237,46 @@ class TestErrorPaths:
         assert main(["verify", cfg, "--out", str(tmp_path / "out")]) == 2
         assert time.perf_counter() - start < 1.0
         assert f"[{code}] initial.species_4" in capsys.readouterr().err
+
+
+class TestGridScale:
+    def test_import_defers_scipy(self):
+        # scipy.integrate serves only the well-mixed path and the linear
+        # reference, scipy.fft only DCT grids; a fresh import loads neither.
+        code = ("import sys, rdlab.cli; "
+                "print(sorted(m for m in ('scipy.integrate', 'scipy.fft') "
+                "if m in sys.modules))")
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(rdlab.__file__).parent.parent))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "[]"
+
+    def test_verify_at_ten_thousand_cells_in_bounded_memory(self, tmp_path):
+        # The dense design needs about 2.4 GB for its operators at this n.
+        text = (Path(__file__).parent.parent / "configs"
+                / "two_by_two_highmass.cfg").read_text()
+        text = text.replace("n = 200", "n = 10000") \
+                   .replace("t_end = 5.0", "t_end = 0.05")
+        cfg = _write(tmp_path, "big.cfg", text)
+        tracemalloc.start()
+        try:
+            code = main(["verify", cfg, "--out", str(tmp_path / "out"),
+                         "--quiet"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 50e6
+
+    def test_dump_generator_above_dense_limit(self, tmp_path, capsys,
+                                              monkeypatch):
+        monkeypatch.setattr(diffusion, "DENSE_MAX_CELLS", 50)
+        cfg = _write(tmp_path, "gap.cfg", GAP_CFG)
+        out = tmp_path / "out"
+        assert main(["gap", cfg, "--out", str(out), "--dump-generator"]) == 2
+        assert "--dump-generator" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestDeterminism:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rdlab import config
 from rdlab.config import (ConfigError, ExpressionError, compile_expression,
                           parse_config, serialize_config)
 
@@ -153,6 +154,43 @@ value = 2
             parse_config(MINIMAL_RD + f"\n[diffusion]\nn = {n}\n")
         assert [(i.code, i.path) for i in err.value.issues] \
             == [("bad-value", "diffusion.n")]
+
+    @pytest.mark.parametrize("cells", [
+        "50 1e9", "1 2", "2 50", "100 50", "50 50", "100", "50 inf",
+        "50 nan", "50 100.5", "50 -100",
+    ])
+    def test_refinement_bounded_and_increasing(self, cells):
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL_RD + f"\n[diffusion]\nrefinement = {cells}\n")
+        assert [(i.code, i.path) for i in err.value.issues] \
+            == [("bad-value", "diffusion.refinement")]
+
+    def test_refinement_accepts_increasing_grids(self):
+        cfg = parse_config(MINIMAL_RD + "\n[diffusion]\nrefinement = 3 1000000\n")
+        assert cfg.refinement_cells == (3, 10**6)
+
+    @pytest.mark.parametrize("section, path", [
+        ("n = 65\npsi = x", "diffusion.n"),
+        ("n = 65\ndiffusivity = 1 + x", "diffusion.n"),
+        ("n = 32\npsi = 0.5*x\nrefinement = 8 16 65", "diffusion.refinement"),
+    ])
+    def test_dense_grid_too_large(self, monkeypatch, section, path):
+        monkeypatch.setattr(config, "DENSE_MAX_CELLS", 64)
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL_RD + f"\n[diffusion]\n{section}\n"
+                         + ("" if "refinement" in section
+                            else "refinement = 8 16 32\n"))
+        assert [(i.code, i.path) for i in err.value.issues] \
+            == [("grid-too-large", path)]
+
+    def test_uniform_grid_not_bounded_by_dense_limit(self, monkeypatch):
+        monkeypatch.setattr(config, "DENSE_MAX_CELLS", 64)
+        text = MINIMAL_RD + ("\n[diffusion]\nn = 65\npsi = 2\ndiffusivity = 3"
+                             "\nrefinement = 8 16 65\n")
+        assert parse_config(text).n_cells == 65
+        assert parse_config(text.replace("psi = 2", "psi = x")
+                            .replace("n = 65", "n = 64")
+                            .replace("8 16 65", "8 16 64")).n_cells == 64
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError) as err:

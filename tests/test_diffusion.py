@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal, expm
 
-from rdlab.diffusion import (build_generator, moment4, propagator,
+from rdlab.diffusion import (DCT_MIN_CELLS, DENSE_MAX_CELLS, CosineBasis,
+                             DenseBasis, build_generator, moment4, propagator,
                              refinement_study, semigroup_apply, spectral_gap,
                              variance)
 
@@ -238,3 +240,70 @@ class TestMoments:
         study = refinement_study([50, 100, 200, 400],
                                  potential=lambda x: 4.0 * x)
         assert np.abs(study.observed_orders - 2.0).max() <= 0.3
+
+
+@pytest.fixture(scope="module")
+def cosine400():
+    return build_generator(400, domain_length=2.5, diffusivity=lambda x: 1.7)
+
+
+class TestCosineBasis:
+    def test_limits(self):
+        assert 200 < DCT_MIN_CELLS < DENSE_MAX_CELLS
+
+    def test_basis_choice(self, laplacian200, drifted400, cosine400):
+        assert isinstance(cosine400.basis, CosineBasis)
+        assert isinstance(laplacian200.basis, DenseBasis)
+        assert isinstance(drifted400.basis, DenseBasis)
+        assert isinstance(build_generator(DCT_MIN_CELLS - 1).basis, DenseBasis)
+        assert isinstance(build_generator(DCT_MIN_CELLS).basis, CosineBasis)
+
+    def test_no_square_arrays_until_asked(self):
+        diff = build_generator(3000)
+        for holder in (diff, diff.basis):
+            assert all(np.ndim(value) <= 1 for value in vars(holder).values())
+
+    def test_eigenvalues_match_eigensolve_of_bands(self, cosine400):
+        diag = np.zeros(400)
+        diag[:-1] -= cosine400.upper
+        diag[1:] -= cosine400.lower
+        offdiag = -np.sqrt(cosine400.upper * cosine400.lower)
+        values = eigh_tridiagonal(-diag, offdiag, eigvals_only=True)
+        assert cosine400.eigenvalues[0] == 0.0
+        rel = np.abs(cosine400.eigenvalues[1:] - values[1:]) / values[1:]
+        assert rel.max() <= 1e-9
+
+    # Up to step-size times: at t = 0.3 expm's own row sums are off by 2.5e-12.
+    @pytest.mark.parametrize("t", [1e-3, 0.01])
+    def test_semigroup_matches_expm(self, cosine400, t):
+        exact = expm(t * cosine400.generator)
+        assert np.abs(propagator(cosine400, t) - exact).max() <= 1e-12
+        rng = np.random.default_rng(14)
+        block = rng.uniform(0.0, 2.0, (400, 3))
+        applied = semigroup_apply(cosine400, block, t)
+        assert np.abs(applied - exact @ block).max() <= 1e-12
+        assert np.abs(semigroup_apply(cosine400, block[:, 0], t)
+                      - applied[:, 0]).max() <= 1e-14
+
+    def test_eigenvectors_on_demand(self, cosine400):
+        vectors = cosine400.eigenvectors
+        assert np.all(vectors[:, 0] == 1.0)
+        gram = vectors.T @ (cosine400.weights[:, None] * vectors)
+        assert np.abs(gram - np.eye(400)).max() <= 1e-12
+        residual = cosine400.generator @ vectors + vectors * cosine400.eigenvalues
+        assert np.abs(residual).max() <= 1e-12 * cosine400.eigenvalues[-1]
+        f = np.random.default_rng(15).standard_normal(400)
+        coeffs = cosine400.basis.analyse(f)
+        assert np.abs(coeffs - (cosine400.weights * f) @ vectors).max() <= 1e-13
+        assert np.abs(cosine400.basis.synthesise(coeffs) - f).max() <= 1e-13
+
+    def test_constants_and_means_exact(self, cosine400):
+        c = np.full(400, 3.7)
+        for t in (0.01, 1.0, 100.0):
+            assert np.abs(semigroup_apply(cosine400, c, t) - c).max() <= 1e-14
+        f = np.random.default_rng(16).uniform(0.0, 2.0, 400)
+        mean0 = cosine400.weights @ f
+        step = cosine400.basis.stepper(1e-3)
+        for _ in range(1000):
+            f = step(f)
+        assert abs(cosine400.weights @ f - mean0) <= 1e-15

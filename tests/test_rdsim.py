@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import random_network
-from rdlab.diffusion import build_generator, semigroup_apply
+from rdlab.diffusion import (DCT_MIN_CELLS, CosineBasis, build_generator,
+                             semigroup_apply)
 from rdlab.kinetics import integrate_reaction
 from rdlab.network import steady_state
 from rdlab.rdsim import (BlowUpError, FieldState, Scenario, clamped_mass_action,
@@ -271,37 +272,55 @@ def _stepped_reference(scenario):
     return [np.array(column) for column in zip(*rows)]
 
 
+_FUSED_CASES = [
+    ("two_by_two", 1.0, 1e-3, 47, 10, True),
+    ("two_by_two", 1.0, 1e-3, 30, 7, False),
+    ("two_by_two", 10.0, 0.1, 20, 3, True),      # clamps every few steps
+    ("self_ionization", 1.0, 1e-3, 25, 1, True),
+    ("self_ionization", 1.0, 2e-3, 40, 40, True),
+]
+
+
+def _check_run_matches_step_loop(network, grid, scale, dt, n_steps, every,
+                                 reaction):
+    x = grid.cell_centers
+    base = np.array([1.0, 1.0, 0.05, 0.05][:network.n_species])
+    v0 = scale * base[:, None] * (1.0 + 0.5 * np.cos(np.pi * x))
+    v0[0] += 0.3 * scale * np.cos(2.0 * np.pi * x) ** 2
+    scenario = Scenario(network=network, diffusion=grid, v0=v0, dt=dt,
+                        t_end=n_steps * dt, sample_every=every,
+                        include_reaction=reaction)
+    result = run(scenario)
+    times, fields, dist, resid, clamp, margin = _stepped_reference(scenario)
+
+    assert np.array_equal(result.times, times)
+    if scale > 1.0:
+        assert clamp[-1] > 0.0
+    roundoff = 1e-12 * np.abs(fields).max()
+    for got, want in ((result.fields, fields), (result.distances, dist),
+                      (result.conservation, resid),
+                      (result.clamp_l1, clamp),
+                      (result.bound_margin, margin)):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= roundoff
+
+
 class TestFusedRun:
-    @pytest.mark.parametrize("name, scale, dt, n_steps, every, reaction", [
-        ("two_by_two", 1.0, 1e-3, 47, 10, True),
-        ("two_by_two", 1.0, 1e-3, 30, 7, False),
-        ("two_by_two", 10.0, 0.1, 20, 3, True),      # clamps every few steps
-        ("self_ionization", 1.0, 1e-3, 25, 1, True),
-        ("self_ionization", 1.0, 2e-3, 40, 40, True),
-    ])
+    @pytest.mark.parametrize("name, scale, dt, n_steps, every, reaction",
+                             _FUSED_CASES)
     def test_matches_step_loop(self, request, grid50, name, scale, dt,
                                n_steps, every, reaction):
-        network = request.getfixturevalue(name)
-        x = grid50.cell_centers
-        base = np.array([1.0, 1.0, 0.05, 0.05][:network.n_species])
-        v0 = scale * base[:, None] * (1.0 + 0.5 * np.cos(np.pi * x))
-        v0[0] += 0.3 * scale * np.cos(2.0 * np.pi * x) ** 2
-        scenario = Scenario(network=network, diffusion=grid50, v0=v0, dt=dt,
-                            t_end=n_steps * dt, sample_every=every,
-                            include_reaction=reaction)
-        result = run(scenario)
-        times, fields, dist, resid, clamp, margin = _stepped_reference(scenario)
+        _check_run_matches_step_loop(request.getfixturevalue(name), grid50,
+                                     scale, dt, n_steps, every, reaction)
 
-        assert np.array_equal(result.times, times)
-        if scale > 1.0:
-            assert clamp[-1] > 0.0
-        roundoff = 1e-12 * np.abs(fields).max()
-        for got, want in ((result.fields, fields), (result.distances, dist),
-                          (result.conservation, resid),
-                          (result.clamp_l1, clamp),
-                          (result.bound_margin, margin)):
-            assert got.shape == want.shape
-            assert np.abs(got - want).max() <= roundoff
+    @pytest.mark.parametrize("name, scale, dt, n_steps, every, reaction",
+                             _FUSED_CASES)
+    def test_matches_step_loop_on_dct_grid(self, request, name, scale, dt,
+                                           n_steps, every, reaction):
+        grid = build_generator(DCT_MIN_CELLS)
+        assert isinstance(grid.basis, CosineBasis)
+        _check_run_matches_step_loop(request.getfixturevalue(name), grid,
+                                     scale, dt, n_steps, every, reaction)
 
     def test_blowup_raised_by_run(self, self_ionization, grid50):
         # dt far beyond the RK4 stability limit of the fast kinetics.
@@ -310,3 +329,17 @@ class TestFusedRun:
                             dt=0.05, t_end=2.5)
         with pytest.raises(BlowUpError):
             run(scenario)
+
+    def test_dct_run_keeps_conserved_means(self, two_by_two):
+        # The full step diffuses u - <u> and adds the mean back; a plain
+        # DCT round trip drifts the means by about 1.2e-13 over this run.
+        grid = build_generator(3000)
+        x = grid.cell_centers
+        v0 = np.array([2.0 + 0.5 * np.cos(np.pi * x),
+                       2.0 - 0.3 * np.cos(2.0 * np.pi * x),
+                       2.0 + 0.4 * np.cos(3.0 * np.pi * x),
+                       np.full_like(x, 2.0)])
+        scenario = Scenario(network=two_by_two, diffusion=grid, v0=v0,
+                            dt=1e-3, t_end=0.2, sample_every=10)
+        result = run(scenario)
+        assert result.mean_conservation.max() <= 2e-14
