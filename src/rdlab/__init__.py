@@ -11,7 +11,7 @@ from .analysis import (DecayReport, EnvelopeInputs, classify_regime,
                        two_by_two_envelope)
 from .diffusion import (DiscreteDiffusion, build_generator, moment4,
                         propagator, refinement_study, semigroup_apply,
-                        spectral_gap, variance)
+                        variance)
 from .kinetics import (ScalarReduction, Trajectory, envelope_constant,
                        exact_decay_residual, integrate_reaction, measure_rate,
                        pivot_reduction)
@@ -19,18 +19,18 @@ from .network import (ReactionNetwork, SteadyState, build_network,
                       conservation_basis, is_two_by_two, mass_action,
                       normalize_rates, optimal_rate, steady_state)
 from .rdsim import (FieldState, RunResult, Scenario, clamped_mass_action,
-                    conservation_check, linear_reference)
+                    linear_reference)
 
 __all__ = [
     "ReactionNetwork", "SteadyState", "build_network", "normalize_rates",
     "conservation_basis", "steady_state", "optimal_rate", "mass_action",
     "is_two_by_two",
-    "DiscreteDiffusion", "build_generator", "spectral_gap", "semigroup_apply",
+    "DiscreteDiffusion", "build_generator", "semigroup_apply",
     "propagator", "variance", "moment4", "refinement_study",
     "ScalarReduction", "Trajectory", "pivot_reduction", "integrate_reaction",
     "envelope_constant", "exact_decay_residual", "measure_rate",
     "FieldState", "Scenario", "RunResult", "clamped_mass_action",
-    "conservation_check", "linear_reference",
+    "linear_reference",
     "DecayReport", "EnvelopeInputs", "fit_decay_rate", "envelope_inputs",
     "two_by_two_envelope", "classify_regime", "fourth_moment_decay_check",
     "exponential_tail_check",

@@ -13,7 +13,6 @@ __all__ = [
     "DecayReport",
     "EnvelopeInputs",
     "DegenerateWindowError",
-    "REGIMES",
     "fit_decay_rate",
     "envelope_inputs",
     "two_by_two_envelope",
@@ -21,11 +20,6 @@ __all__ = [
     "fourth_moment_decay_check",
     "exponential_tail_check",
 ]
-
-# Total initial mass below/above/at the diffusion-limited rate, plus the
-# purely well-mixed and the general (qualitative-only) cases.
-REGIMES = ("mass_below_gap", "mass_above_gap", "mass_at_gap", "well_mixed",
-           "general")
 
 # Two rates closer than this are treated as the degenerate equal-rate case,
 # which carries a linear-in-t prefactor instead of a constant one.

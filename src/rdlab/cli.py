@@ -10,8 +10,7 @@ import argparse
 import csv
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -184,21 +183,31 @@ def execute_ode(cfg: ScenarioConfig, out_dir: Path, full: bool):
     return verdicts, report
 
 
-def execute_rd(cfg: ScenarioConfig, out_dir: Path, full: bool,
-               check_rate: bool = True):
-    """Reaction-diffusion run: series/snapshot CSVs plus the standing verdicts.
+def _rd_scenario(cfg: ScenarioConfig, network, diff, v0) -> rdsim.Scenario:
+    return rdsim.Scenario(network=network, diffusion=diff, v0=v0, dt=cfg.dt,
+                          t_end=cfg.t_end, sample_every=cfg.sample_every)
+
+
+def execute_rd(cfg: ScenarioConfig, out_dir: Path, full: bool):
+    """Reaction-diffusion run: series/snapshot CSVs plus the standing verdicts."""
+    network, diff = _build_operators(cfg)
+    scenario = _rd_scenario(cfg, network, diff, _initial_fields(cfg, diff))
+    result = rdsim.run(scenario, snapshot_times=cfg.snapshot_times)
+    return _report_rd(cfg.scenario_id, result, out_dir, full,
+                      check_rate=True, write_series=cfg.write_series)
+
+
+def _report_rd(scenario_id: str, result: rdsim.RunResult, out_dir: Path,
+               full: bool, check_rate: bool, write_series: bool):
+    """Verdicts, series/snapshot CSVs and the report of one rd run.
 
     ``check_rate=False`` keeps the envelope and diagnostics verdicts but
     skips the tail-rate optimality check, which needs a long horizon; sweep
     rows use this so regime mapping stays affordable.
     """
-    network, diff = _build_operators(cfg)
-    v0 = _initial_fields(cfg, diff)
-    scenario = rdsim.Scenario(network=network, diffusion=diff, v0=v0,
-                              dt=cfg.dt, t_end=cfg.t_end,
-                              sample_every=cfg.sample_every)
-    result = rdsim.run(scenario, snapshot_times=cfg.snapshot_times)
-
+    network = result.scenario.network
+    diff = result.scenario.diffusion
+    v0 = result.scenario.v0
     cons = float(max(result.conservation.max(), result.mean_conservation.max()))
     verdicts = [
         Verdict("conservation", cons <= CONSERVATION_TOL,
@@ -248,7 +257,7 @@ def execute_rd(cfg: ScenarioConfig, out_dir: Path, full: bool,
                 "exponential_tail", tail_ok,
                 f"rate {rate_fit:.6g}, r2 {r2:.6f} (needs r2 >= {TAIL_R2_MIN})"))
 
-    if cfg.write_series:
+    if write_series:
         q = network.n_species
         header = (["t"] + [f"dist_{i + 1}" for i in range(q)]
                   + [f"var_{i + 1}" for i in range(q)]
@@ -264,12 +273,12 @@ def execute_rd(cfg: ScenarioConfig, out_dir: Path, full: bool,
                        [(x, *field[:, j]) for j, x in enumerate(diff.cell_centers)])
 
     report = analysis.DecayReport(
-        scenario_id=cfg.scenario_id, rate_fit=rate_fit, fit_r2=r2,
+        scenario_id=scenario_id, rate_fit=rate_fit, fit_r2=r2,
         rate_theory=rate_theory, envelope_margin=envelope_margin,
         regime=regime, verdict=all(v.passed for v in verdicts))
     _write_csv(out_dir / "report.csv", _REPORT_HEADER, [_report_row(report)])
     _write_summary(out_dir / "summary.txt", [
-        ("scenario_id", cfg.scenario_id), ("regime", regime),
+        ("scenario_id", scenario_id), ("regime", regime),
         ("rate_theory", rate_theory), ("rate_fit", rate_fit),
         ("fit_r2", r2), ("envelope_margin", envelope_margin),
         ("conservation_max", cons),
@@ -343,33 +352,27 @@ def execute_gap(cfg: ScenarioConfig, out_dir: Path, seed: int,
     return verdicts
 
 
-def _scaled_config(cfg: ScenarioConfig, value: float) -> ScenarioConfig:
-    scaled = tuple(f"({value!r})*({expr})" for expr in cfg.initial)
-    return replace(cfg, kind="rd", initial=scaled,
-                   scenario_id=f"{cfg.scenario_id}_scale_{value:g}")
+def execute_sweep(cfg: ScenarioConfig, out_dir: Path):
+    """Run every mass scale of the sweep as one batch.
 
-
-def _sweep_worker(args):
-    cfg, value, out_root = args
-    sub = _scaled_config(cfg, value)
-    out_dir = Path(out_root) / f"scale_{value:g}"
-    verdicts, report = execute_rd(sub, out_dir, full=True, check_rate=False)
-    return value, verdicts, report
-
-
-def execute_sweep(cfg: ScenarioConfig, out_dir: Path, workers: int,
-                  quiet: bool):
-    """Run the mass-scale sweep, one scaled copy of the base scenario per value."""
-    tasks = [(cfg, value, str(out_dir)) for value in cfg.sweep_values]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_sweep_worker, tasks))
-    else:
-        outcomes = [_sweep_worker(task) for task in tasks]
+    Each scale is a scaled copy of the base scenario, reported as an rd run
+    of its own under ``scale_<value>``.
+    """
+    network, diff = _build_operators(cfg)
+    base = _initial_fields(cfg, diff)
+    # value * base is bitwise what the profile "(value)*(expr)" evaluates
+    # to, so each scale matches a stand-alone rd config scaled that way.
+    scenarios = [_rd_scenario(cfg, network, diff, value * base)
+                 for value in cfg.sweep_values]
+    results = rdsim.run_batch(scenarios, snapshot_times=cfg.snapshot_times)
 
     rows = []
     verdicts = []
-    for value, sub_verdicts, report in outcomes:
+    for value, result in zip(cfg.sweep_values, results):
+        sub_verdicts, report = _report_rd(
+            f"{cfg.scenario_id}_scale_{value:g}", result,
+            out_dir / f"scale_{value:g}", full=True, check_rate=False,
+            write_series=cfg.write_series)
         ok = all(v.passed for v in sub_verdicts)
         rows.append((value, report.regime, report.rate_theory, report.rate_fit,
                      report.fit_r2, report.envelope_margin, ok))
@@ -399,8 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", help="override the output directory")
         cmd.add_argument("--seed", type=int, default=0,
                          help="seed for randomized sweeps")
-        cmd.add_argument("--workers", type=int, default=1,
-                         help="concurrent scenarios for sweep")
         cmd.add_argument("--quiet", action="store_true",
                          help="only print failing verdicts")
         cmd.add_argument("--dump-generator", action="store_true",
@@ -436,7 +437,7 @@ def main(argv=None) -> int:
                 print("error: sweep needs a config of kind 'sweep'",
                       file=sys.stderr)
                 return 2
-            verdicts = execute_sweep(cfg, out_dir, args.workers, args.quiet)
+            verdicts = execute_sweep(cfg, out_dir)
         elif args.command in ("run", "verify"):
             if cfg.kind not in ("ode", "rd"):
                 print(f"error: {args.command} needs a config of kind "

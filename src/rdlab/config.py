@@ -320,10 +320,14 @@ def parse_config(text: str) -> ScenarioConfig:
                 reader.report("missing-field", "network.beta", "required key is missing")
             alpha = reader.numbers("network", "alpha", ())
             beta = reader.numbers("network", "beta", ())
-            if any(v != int(v) or v < 0 for v in alpha + beta):
-                reader.report("bad-value", "network.alpha",
-                              "stoichiometry must be nonnegative integers")
-            else:
+            bad = [key for key, values in (("alpha", alpha), ("beta", beta))
+                   if any(not (v.is_integer() and 0 <= v < 2.0**63)
+                          for v in values)]
+            for key in bad:
+                reader.report("bad-value", f"network.{key}",
+                              "stoichiometry must be nonnegative integers "
+                              "below 2^63")
+            if not bad:
                 reactants = tuple(int(v) for v in alpha)
                 products = tuple(int(v) for v in beta)
                 if reactants and products:
@@ -441,8 +445,9 @@ def parse_config(text: str) -> ScenarioConfig:
             if not sweep_values:
                 reader.report("missing-field", "sweep.values",
                               "need at least one value")
-            elif any(v <= 0 for v in sweep_values):
-                reader.report("bad-value", "sweep.values", "values must be positive")
+            elif any(not (math.isfinite(v) and v > 0) for v in sweep_values):
+                reader.report("bad-value", "sweep.values",
+                              "values must be positive and finite")
 
     if issues:
         raise ConfigError(issues)

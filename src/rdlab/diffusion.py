@@ -42,7 +42,6 @@ __all__ = [
     "DiscreteDiffusion",
     "GapStudy",
     "build_generator",
-    "spectral_gap",
     "semigroup_apply",
     "propagator",
     "variance",
@@ -315,13 +314,6 @@ def build_generator(n: int, domain_length: float = 1.0, potential=None,
         gap_constant=float(1.0 / (2.0 * eigenvalues[1])),
         kernel_residual=kernel_residual,
     )
-
-
-def spectral_gap(diff: DiscreteDiffusion) -> float:
-    """Gap constant ``1 / (2 lambda_1)`` of the discrete operator."""
-    if diff.eigenvalues[1] <= 0:
-        raise ValueError("operator has no spectral gap")
-    return diff.gap_constant
 
 
 def semigroup_apply(diff: DiscreteDiffusion, f, t: float) -> np.ndarray:

@@ -34,8 +34,10 @@ def _as_stoichiometry(coeffs, name: str) -> np.ndarray:
     arr = np.asarray(coeffs, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"{name} must be a non-empty 1-D vector")
-    if np.any(arr < 0) or np.any(arr != np.round(arr)):
-        raise ValueError(f"{name} must contain nonnegative integers")
+    # Every comparison fails on NaN; inf and values from 2^63 up would wrap
+    # in the int64 cast.
+    if not np.all((arr >= 0) & (arr < 2.0**63) & (arr == np.round(arr))):
+        raise ValueError(f"{name} must contain nonnegative integers below 2^63")
     return arr.astype(np.int64)
 
 

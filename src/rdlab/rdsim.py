@@ -8,15 +8,23 @@ continuous flow inside the nonnegative orthant; any residual numerical
 undershoot is zeroed after the reaction substep and accounted in
 ``clamp_l1``.
 
-``step`` performs one such step.  ``run`` merges the half steps: the closing
-half step of one step and the opening half step of the next compose exactly
-into one full step of the semigroup, so between samples each step is the
-reaction substep plus one full diffusion step: a dense propagator matmul on
-the dense eigenbasis, a DCT-II pair on a uniform grid (``diffusion``).  At a
-sample the state is taken from a closing half step through the modal basis
+``step`` performs one such step.  ``run_batch`` merges the half steps: the
+closing half step of one step and the opening half step of the next compose
+exactly into one full step of the semigroup, so between samples each step is
+the reaction substep plus one full diffusion step: a dense propagator matmul
+on the dense eigenbasis, a DCT-II pair on a uniform grid (``diffusion``).  At
+a sample the state is taken from a closing half step through the modal basis
 while the run continues from the full step.  The per-sample references
 (freely diffused conserved combinations and upper-bound profiles) are
 synthesised from modal coefficients computed once per run.
+
+``run_batch`` steps several scenarios that share the network, the grid and
+the time stepping as one state, ``(species, members * cells)``: the kinetics
+of every member is one set of array operations per step, and diffusion acts
+on the stacked ``(members, species, cells)`` view, so every BLAS call and
+transform has the shape of a single run's.  Each member's result is bitwise
+the result of running it alone.  ``run`` is the batch of one.  The sampled
+fields are kept only on request (``fields=True``).
 """
 
 from __future__ import annotations
@@ -34,12 +42,11 @@ __all__ = [
     "FieldState",
     "Scenario",
     "RunResult",
-    "ConservationReport",
     "BlowUpError",
     "clamped_mass_action",
     "step",
     "run",
-    "conservation_check",
+    "run_batch",
     "linear_reference",
 ]
 
@@ -126,12 +133,14 @@ def clamped_mass_action(network: ReactionNetwork, v: np.ndarray) -> np.ndarray:
 
 
 def _reaction_substep(network: ReactionNetwork, v: np.ndarray, dt: float,
-                      weights: np.ndarray) -> tuple[np.ndarray, float]:
+                      weights: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """RK4 step of the clamped kinetics, then zero any undershoot.
 
-    The kinetics moves every species along the drift ``w``, so each RK4
-    stage is ``w`` times one scalar rate field.  Returns the new fields and
-    the weighted mass the clamp removed.
+    ``v`` holds one or more members side by side, ``(species, members *
+    cells)``.  The kinetics moves every species along the drift ``w``, so
+    each RK4 stage is ``w`` times one scalar rate field.  Returns the new
+    fields and the weighted mass the clamp removed from each member, or
+    ``None`` when no value went negative.
     """
     w = network.signed_rates[:, None]
     half = (0.5 * dt) * w
@@ -140,12 +149,16 @@ def _reaction_substep(network: ReactionNetwork, v: np.ndarray, dt: float,
     m3 = clamped_mass_action(network, v + half * m2)
     m4 = clamped_mass_action(network, v + (dt * w) * m3)
     v = v + ((dt / 6.0) * w) * (m1 + 2.0 * m2 + 2.0 * m3 + m4)
-    removed = 0.0
-    if v.min() < 0.0:
-        negative_mass = float(-(np.minimum(v, 0.0) @ weights).sum())
+    if not v.min() < 0.0:
+        return v, None
+    n = weights.size
+    removed = np.zeros(v.shape[1] // n)
+    for b in range(removed.size):
+        cells = slice(b * n, (b + 1) * n)
+        negative_mass = float(-(np.minimum(v[:, cells], 0.0) @ weights).sum())
         if negative_mass > 0.0:
-            removed = negative_mass
-            v = np.maximum(v, 0.0)
+            removed[b] = negative_mass
+            v[:, cells] = np.maximum(v[:, cells], 0.0)
     return v, removed
 
 
@@ -165,7 +178,8 @@ def step(state: FieldState, scenario: Scenario) -> FieldState:
     if scenario.include_reaction:
         v, removed = _reaction_substep(scenario.network, v, scenario.dt,
                                        scenario.diffusion.weights)
-        clamp += removed
+        if removed is not None:
+            clamp += float(removed[0])
     v = basis.diffuse(v, half)
     _check_bounds(v, state.t + scenario.dt)
     return FieldState(t=state.t + scenario.dt, v=v, clamp_l1=clamp)
@@ -177,7 +191,7 @@ class RunResult:
 
     scenario: Scenario
     times: np.ndarray            # (m,)
-    fields: np.ndarray           # (m, species, cells)
+    fields: np.ndarray | None    # (m, species, cells) when asked for
     distances: np.ndarray        # (m, species): L2(weights) to steady
     variances: np.ndarray        # (m, species)
     conservation: np.ndarray     # (m, q-1): L2 residual vs diffused combination
@@ -211,145 +225,172 @@ def _upper_bound_pairs(network: ReactionNetwork, v0: np.ndarray):
     return np.array(profiles), owners   # (n_pairs, cells), per-species rows
 
 
-def run(scenario: Scenario, snapshot_times=()) -> RunResult:
-    """Integrate with merged half steps and record diagnostics at samples.
+class _Recorder:
+    """One scenario's samples: references, diagnostics and snapshots."""
 
-    The result equals iterating ``step`` up to roundoff.  After one opening
-    half step, each step is the reaction substep followed by the full-step
-    diffusion step; a sample takes its state from the closing half step,
-    applied through the modal basis, and the run continues from the full
-    step of the pre-closing state, so the trajectory does not depend on the
-    sampling cadence.  The blow-up guard looks at the state after each
-    reaction substep; the diffusion that follows is Markov and cannot raise
-    its maximum.
+    def __init__(self, scenario: Scenario, snapshot_times, fields: bool):
+        self.scenario = scenario
+        self.combos0 = scenario.basis @ scenario.v0     # (q-1, cells) at t = 0
+        self.mean_refs = self.combos0 @ scenario.diffusion.weights
+        pair_profiles, self.pair_owners = _upper_bound_pairs(scenario.network,
+                                                             scenario.v0)
+        # Modal coefficients of every reference profile, analysed once; a
+        # sample only damps and synthesises them.
+        self.ref_modes = scenario.diffusion.basis.analyse(
+            np.concatenate((self.combos0, pair_profiles)))
+        self.pending = sorted(float(t) for t in snapshot_times)
+        self.fields = [] if fields else None
+        self.records = []
+        self.snapshots = []
+        self.record(0.0, scenario.v0.copy(), 0.0, self.references(0.0))
 
-    The horizon is rounded to a whole number of steps.  Snapshots are taken
-    at the first sample at or after each requested time.
-    """
-    diff = scenario.diffusion
-    weights = diff.weights
-    modal = diff.basis
-    lam = diff.eigenvalues
-    network = scenario.network
-    dt = scenario.dt
-    steady = scenario.steady
-    basis = scenario.basis
-    combos0 = basis @ scenario.v0            # (q-1, cells) at t = 0
-    mean_refs = combos0 @ weights
-    pair_profiles, pair_owners = _upper_bound_pairs(network, scenario.v0)
-    w = network.signed_rates
-    n_species = network.n_species
-    n_combos = len(combos0)
-    # Modal coefficients of every reference profile, analysed once; a sample
-    # only damps and synthesises them.
-    ref_modes = modal.analyse(np.concatenate((combos0, pair_profiles)))
-    half_damp = np.exp(-0.5 * dt * lam)
-
-    n_steps = int(round(scenario.t_end / dt))
-    pending = sorted(float(t) for t in snapshot_times)
-
-    records = []
-    snapshots = []
-
-    def references(t: float, leading=None) -> np.ndarray:
+    def references(self, t: float, leading=None) -> np.ndarray:
         """Synthesise ``leading`` modal rows, then the references at ``t``."""
-        rows = ref_modes * np.exp(-lam * t)
+        diff = self.scenario.diffusion
+        rows = self.ref_modes * np.exp(-diff.eigenvalues * t)
         if leading is not None:
             rows = np.concatenate((leading, rows))
-        return modal.synthesise(rows)
+        return diff.basis.synthesise(rows)
 
-    def sample(t: float, v: np.ndarray, clamp: float, refs: np.ndarray):
-        deltas = v - steady.concentrations[:, None]
+    def sample(self, t: float, closing: np.ndarray, clamp: float) -> None:
+        """Record the state whose closing-half-step modes are ``closing``."""
+        n_species = len(closing)
+        out = self.references(t, closing)
+        # Copy the fields so the record does not pin the whole block.
+        self.record(t, out[:n_species].copy(), clamp, out[n_species:])
+
+    def record(self, t: float, v: np.ndarray, clamp: float,
+               refs: np.ndarray) -> None:
+        scenario = self.scenario
+        weights = scenario.diffusion.weights
+        w = scenario.network.signed_rates
+        deltas = v - scenario.steady.concentrations[:, None]
         dist = np.sqrt((deltas * deltas) @ weights)
         centered = v - (v @ weights)[:, None]
         var = (centered * centered) @ weights
 
-        combos = basis @ v
+        n_combos = len(self.combos0)
+        combos = scenario.basis @ v
         resid = np.sqrt(((combos - refs[:n_combos]) ** 2) @ weights)
-        mean_resid = np.abs(combos @ weights - mean_refs)
+        mean_resid = np.abs(combos @ weights - self.mean_refs)
 
         evolved = refs[n_combos:]
         margin = np.inf
-        for i, rows in enumerate(pair_owners):
+        for i, rows in enumerate(self.pair_owners):
             bound = (w[i] * evolved[rows]).min(axis=0)
             margin = min(margin, float((bound - v[i]).min()))
 
-        records.append((t, v, dist, var, resid, mean_resid,
-                        float(v.min()), clamp, margin))
-        while pending and t >= pending[0] - 0.5 * dt:
-            snapshots.append((t, v))
+        self.records.append((t, dist, var, resid, mean_resid, float(v.min()),
+                             clamp, margin))
+        if self.fields is not None:
+            self.fields.append(v)
+        pending = self.pending
+        while pending and t >= pending[0] - 0.5 * scenario.dt:
+            self.snapshots.append((t, v))
             pending.pop(0)
 
-    sample(0.0, scenario.v0.copy(), 0.0, references(0.0))
+    def result(self) -> RunResult:
+        scenario = self.scenario
+        times, dist, var, resid, mean_resid, minv, clamp, margin = \
+            map(np.array, zip(*self.records))
+        return RunResult(
+            scenario=scenario,
+            times=times,
+            fields=None if self.fields is None else np.array(self.fields),
+            distances=dist,
+            variances=var,
+            conservation=resid,
+            mean_conservation=mean_resid,
+            min_value=minv,
+            clamp_l1=clamp,
+            bound_margin=margin,
+            quartic_moment=float(np.sqrt(moment4(scenario.diffusion,
+                                                 scenario.v0.sum(axis=0)))),
+            steady=scenario.steady,
+            snapshots=self.snapshots,
+        )
+
+
+def run_batch(scenarios, snapshot_times=(), fields: bool = False) -> list:
+    """Integrate several scenarios as one state; one ``RunResult`` each.
+
+    The scenarios must share the network and the grid (the same objects),
+    ``dt``, ``t_end``, ``sample_every`` and ``include_reaction``; they
+    differ in their initial fields.  Each member keeps its own clamp
+    accounting, samples and snapshots, and its result is bitwise that of
+    running it alone.  A blow-up of any member raises ``BlowUpError``.
+
+    After one opening half step, each step is the reaction substep followed
+    by the full-step diffusion step; a sample takes its state from the
+    closing half step, applied through the modal basis, and the run
+    continues from the full step of the pre-closing state, so the
+    trajectory does not depend on the sampling cadence and equals
+    iterating ``step`` up to roundoff.  The blow-up guard looks at the
+    state after each reaction substep; the diffusion that follows is Markov
+    and cannot raise its maximum.
+
+    The horizon is rounded to a whole number of steps.  Snapshots are taken
+    at the first sample at or after each requested time.  The sampled
+    fields are kept only when ``fields`` is true; otherwise
+    ``RunResult.fields`` is ``None``.
+    """
+    scenarios = list(scenarios)
+    if not scenarios:
+        raise ValueError("need at least one scenario")
+    first = scenarios[0]
+    numerics = (first.dt, first.t_end, first.sample_every,
+                first.include_reaction)
+    for other in scenarios[1:]:
+        if (other.network is not first.network
+                or other.diffusion is not first.diffusion
+                or (other.dt, other.t_end, other.sample_every,
+                    other.include_reaction) != numerics):
+            raise ValueError("batched scenarios must share the network, the "
+                             "grid, dt, t_end, sample_every and "
+                             "include_reaction")
+    network, diff = first.network, first.diffusion
+    dt, t_end, sample_every, include_reaction = numerics
+    modal = diff.basis
+    weights = diff.weights
+    n_species, n_cells = network.n_species, diff.n_cells
+    half_damp = np.exp(-0.5 * dt * diff.eigenvalues)
+    n_steps = int(round(t_end / dt))
+    recorders = [_Recorder(s, snapshot_times, fields) for s in scenarios]
+
+    def members(u: np.ndarray) -> np.ndarray:
+        """The ``(members, species, cells)`` view of the state."""
+        return u.reshape(n_species, len(scenarios), n_cells).transpose(1, 0, 2)
+
     full_step = modal.stepper(dt)
-    u = modal.diffuse(scenario.v0, 0.5 * dt)
+    if len(scenarios) == 1:
+        advance = full_step     # the state is already one member's fields
+    else:
+        def advance(u: np.ndarray) -> np.ndarray:
+            return full_step(members(u)).transpose(1, 0, 2).reshape(
+                n_species, -1)
+
+    u = np.concatenate([modal.diffuse(s.v0, 0.5 * dt) for s in scenarios],
+                       axis=1)
+    clamp = np.zeros(len(scenarios))
     t = 0.0
-    clamp = 0.0
     for k in range(1, n_steps + 1):
         t += dt
-        if scenario.include_reaction:
+        if include_reaction:
             u, removed = _reaction_substep(network, u, dt, weights)
-            clamp += removed
+            if removed is not None:
+                clamp += removed
         _check_bounds(u, t)
-        if k % scenario.sample_every == 0 or k == n_steps:
-            closing = modal.analyse(u) * half_damp
-            out = references(t, closing)
-            # Copy the fields so the record does not pin the whole block.
-            sample(t, out[:n_species].copy(), clamp, out[n_species:])
+        if k % sample_every == 0 or k == n_steps:
+            for recorder, block, c in zip(recorders, members(u), clamp):
+                recorder.sample(t, modal.analyse(block) * half_damp, float(c))
         if k < n_steps:
-            u = full_step(u)
-
-    times, fields, dist, var, resid, mean_resid, minv, clamp, margin = \
-        map(np.array, zip(*records))
-    return RunResult(
-        scenario=scenario,
-        times=times,
-        fields=fields,
-        distances=dist,
-        variances=var,
-        conservation=resid,
-        mean_conservation=mean_resid,
-        min_value=minv,
-        clamp_l1=clamp,
-        bound_margin=margin,
-        quartic_moment=float(np.sqrt(moment4(diff, scenario.v0.sum(axis=0)))),
-        steady=steady,
-        snapshots=snapshots,
-    )
+            u = advance(u)
+    return [recorder.result() for recorder in recorders]
 
 
-@dataclass(frozen=True)
-class ConservationReport:
-    """Worst-case conservation residuals over a run."""
-
-    l2_max: np.ndarray       # per basis vector
-    mean_max: np.ndarray     # per basis vector
-    worst: float
-
-
-def conservation_check(result: RunResult,
-                       scenario: Scenario | None = None) -> ConservationReport:
-    """Recompute conserved-combination residuals from the stored fields.
-
-    For each conserved combination z, compares z @ v(t) against the freely
-    diffused image of z @ v0 in the weighted L2 norm, and the weighted
-    means against their initial values.
-    """
-    scenario = scenario or result.scenario
-    diff = scenario.diffusion
-    basis = scenario.basis
-    combos0 = basis @ scenario.v0
-    mean_refs = combos0 @ diff.weights
-
-    l2 = np.zeros(basis.shape[0])
-    means = np.zeros(basis.shape[0])
-    for t, v in zip(result.times, result.fields):
-        combos = basis @ v
-        refs = semigroup_apply(diff, combos0.T, float(t)).T
-        l2 = np.maximum(l2, np.sqrt(((combos - refs) ** 2) @ diff.weights))
-        means = np.maximum(means, np.abs(combos @ diff.weights - mean_refs))
-    return ConservationReport(l2_max=l2, mean_max=means,
-                              worst=float(max(l2.max(), means.max())))
+def run(scenario: Scenario, snapshot_times=(), fields: bool = False) -> RunResult:
+    """Integrate one scenario with merged half steps (``run_batch`` of one)."""
+    return run_batch([scenario], snapshot_times, fields)[0]
 
 
 def linear_reference(scenario: Scenario, times, rtol: float = 1e-10,

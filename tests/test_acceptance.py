@@ -121,7 +121,7 @@ def constant_two_by_two_run():
     v0 = np.tile(np.array([2.0, 2.0, eps, eps])[:, None], (1, grid.n_cells))
     scenario = rdsim.Scenario(network=net, diffusion=grid, v0=v0,
                               dt=1e-3, t_end=2.0, sample_every=100)
-    return {"scenario": scenario, "result": rdsim.run(scenario)}
+    return {"scenario": scenario, "result": rdsim.run(scenario, fields=True)}
 
 
 @pytest.fixture(scope="module")
@@ -138,7 +138,7 @@ def smooth_two_by_two_run():
     ])
     scenario = rdsim.Scenario(network=net, diffusion=grid, v0=v0,
                               dt=1e-3, t_end=1.0, sample_every=100)
-    return {"scenario": scenario, "result": rdsim.run(scenario)}
+    return {"scenario": scenario, "result": rdsim.run(scenario, fields=True)}
 
 
 # ---------------------------------------------------------------------------

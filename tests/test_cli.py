@@ -149,14 +149,35 @@ class TestVerify:
         assert regimes["0.5"] == "mass_below_gap"
         assert regimes["2.0"] == "mass_above_gap"
 
-    def test_sweep_parallel_matches_serial(self, tmp_path):
-        cfg = _write(tmp_path, "sweep.cfg", SWEEP_CFG)
-        assert main(["sweep", cfg, "--out", str(tmp_path / "serial"),
+    def test_sweep_scales_match_single_runs(self, tmp_path):
+        # The batched sweep writes, for every scale, what `run` writes for
+        # that scale as a stand-alone rd config.
+        text = SWEEP_CFG + "\n[output]\nsnapshots = 0.0 1.0\n"
+        cfg = _write(tmp_path, "sweep.cfg", text)
+        assert main(["sweep", cfg, "--out", str(tmp_path / "sweep"),
                      "--quiet"]) == 0
-        assert main(["sweep", cfg, "--out", str(tmp_path / "parallel"),
-                     "--workers", "2", "--quiet"]) == 0
-        assert (tmp_path / "serial" / "sweep.csv").read_bytes() \
-            == (tmp_path / "parallel" / "sweep.csv").read_bytes()
+        base = text[:text.index("[sweep]")].replace("kind = sweep", "kind = rd")
+        for value in (0.5, 2.0):
+            single = base
+            for line in base.splitlines():
+                if line.startswith("species_"):
+                    key, expr = line.split(" = ")
+                    single = single.replace(line, f"{key} = ({value!r})*({expr})")
+            rd_cfg = _write(tmp_path, f"rd_{value}.cfg", single + text[
+                text.index("[output]"):])
+            out = tmp_path / f"run_{value}"
+            assert main(["run", rd_cfg, "--out", str(out), "--quiet"]) == 0
+            for name in ("series.csv", "snapshot_000.csv", "snapshot_001.csv"):
+                assert (tmp_path / "sweep" / f"scale_{value:g}" / name
+                        ).read_bytes() == (out / name).read_bytes()
+
+    @pytest.mark.parametrize("values", ["0.5 inf", "0.5 nan"])
+    def test_sweep_rejects_non_finite_values(self, tmp_path, capsys, values):
+        cfg = _write(tmp_path, "sweep.cfg",
+                     SWEEP_CFG.replace("values = 0.5 2.0", f"values = {values}"))
+        assert main(["sweep", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "[bad-value] sweep.values" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestEqualRatesBranch:
@@ -239,18 +260,26 @@ class TestErrorPaths:
         assert f"[{code}] initial.species_4" in capsys.readouterr().err
 
 
+def _loaded_by_cli_import(modules) -> str:
+    """Which of ``modules`` a fresh ``import rdlab.cli`` loads."""
+    code = ("import sys, rdlab.cli; "
+            f"print(sorted(m for m in {tuple(modules)!r} if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(Path(rdlab.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    return proc.stdout.strip()
+
+
 class TestGridScale:
     def test_import_defers_scipy(self):
         # scipy.integrate serves only the well-mixed path and the linear
         # reference, scipy.fft only DCT grids; a fresh import loads neither.
-        code = ("import sys, rdlab.cli; "
-                "print(sorted(m for m in ('scipy.integrate', 'scipy.fft') "
-                "if m in sys.modules))")
-        env = dict(os.environ,
-                   PYTHONPATH=str(Path(rdlab.__file__).parent.parent))
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, check=True)
-        assert proc.stdout.strip() == "[]"
+        assert _loaded_by_cli_import(("scipy.integrate", "scipy.fft")) == "[]"
+
+    def test_import_loads_no_process_pool(self):
+        # The sweep runs its scales as one batch in this process.
+        assert _loaded_by_cli_import(("concurrent.futures",
+                                      "multiprocessing")) == "[]"
 
     def test_verify_at_ten_thousand_cells_in_bounded_memory(self, tmp_path):
         # The dense design needs about 2.4 GB for its operators at this n.

@@ -192,6 +192,27 @@ value = 2
                             .replace("n = 65", "n = 64")
                             .replace("8 16 65", "8 16 64")).n_cells == 64
 
+    @pytest.mark.parametrize("line", [
+        "alpha = 1 inf 0 0", "alpha = nan 1 0 0", "alpha = 1e20 1 0 0",
+        "beta = 0 0 inf 1", "beta = 0 0 1 nan", "beta = 0 0 1 1e19",
+    ])
+    def test_stoichiometry_must_be_int64(self, line):
+        key = line.split(" = ")[0]
+        original = {"alpha": "alpha = 1 1 0 0", "beta": "beta = 0 0 1 1"}[key]
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL_RD.replace(original, line))
+        assert [(i.code, i.path) for i in err.value.issues] \
+            == [("bad-value", f"network.{key}")]
+
+    @pytest.mark.parametrize("values", ["0.25 inf", "nan 0.5", "0.5 -inf"])
+    def test_sweep_values_must_be_finite(self, values):
+        text = MINIMAL_RD.replace("kind = rd", "kind = sweep") \
+            + f"\n[sweep]\nparameter = mass_scale\nvalues = {values}\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert [(i.code, i.path) for i in err.value.issues] \
+            == [("bad-value", "sweep.values")]
+
     def test_unknown_kind(self):
         with pytest.raises(ConfigError) as err:
             parse_config(MINIMAL_RD.replace("kind = rd", "kind = magic"))

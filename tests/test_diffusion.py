@@ -4,8 +4,7 @@ from scipy.linalg import eigh_tridiagonal, expm
 
 from rdlab.diffusion import (DCT_MIN_CELLS, DENSE_MAX_CELLS, CosineBasis,
                              DenseBasis, build_generator, moment4, propagator,
-                             refinement_study, semigroup_apply, spectral_gap,
-                             variance)
+                             refinement_study, semigroup_apply, variance)
 
 PI_SQ = np.pi**2
 
@@ -98,7 +97,7 @@ class TestBuildGenerator:
 
 class TestSpectralGap:
     def test_value(self, laplacian200):
-        gap = spectral_gap(laplacian200)
+        gap = laplacian200.gap_constant
         assert gap == 1.0 / (2.0 * laplacian200.eigenvalues[1])
         assert abs(gap - 1.0 / (2.0 * PI_SQ)) <= 1e-3 / (2.0 * PI_SQ)
 

@@ -37,6 +37,15 @@ class TestNormalizeRates:
         with pytest.raises(ValueError, match="positive"):
             normalize_rates([1, 0], [0, 1], forward, backward)
 
+    @pytest.mark.parametrize("coefficient", [1e20, 2.0**63, np.inf, np.nan,
+                                             -1.0, 0.5])
+    def test_rejects_coefficients_that_are_not_int64(self, coefficient):
+        # 1e20 and 2^63 used to wrap to -2^63 in the int64 cast.
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            build_network([coefficient, 1, 0, 0], [0, 0, 1, 1])
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            build_network([1, 1, 0, 0], [0, 0, coefficient, 1])
+
     def test_rejects_one_sided_reaction(self):
         # All species on the same side violates mass conservation.
         with pytest.raises(ValueError, match="sign"):

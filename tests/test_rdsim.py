@@ -7,7 +7,7 @@ from rdlab.diffusion import (DCT_MIN_CELLS, CosineBasis, build_generator,
 from rdlab.kinetics import integrate_reaction
 from rdlab.network import steady_state
 from rdlab.rdsim import (BlowUpError, FieldState, Scenario, clamped_mass_action,
-                         conservation_check, linear_reference, run, step)
+                         linear_reference, run, run_batch, step)
 
 
 @pytest.fixture(scope="module")
@@ -130,7 +130,7 @@ class TestRunAgainstOracles:
         v0 = np.tile(np.array([2.0, 2.0, eps, eps])[:, None], (1, 50))
         scenario = Scenario(network=two_by_two, diffusion=grid50, v0=v0,
                             dt=1e-3, t_end=2.0, sample_every=100)
-        result = run(scenario)
+        result = run(scenario, fields=True)
         reference = integrate_reaction(two_by_two, np.array([2.0, 2.0, eps, eps]),
                                        2.0, tol=1e-12, t_eval=result.times,
                                        max_step=1e-3)
@@ -141,7 +141,7 @@ class TestRunAgainstOracles:
         scenario = Scenario(network=two_by_two, diffusion=grid100,
                             v0=_smooth_two_by_two(grid100), dt=1e-3,
                             t_end=1.0, sample_every=100)
-        result = run(scenario)
+        result = run(scenario, fields=True)
         reference = linear_reference(scenario, result.times)
         weighted = ((result.fields[:, 0, :] - reference) ** 2) @ grid100.weights
         assert np.sqrt(weighted.max()) <= 1e-6
@@ -152,23 +152,23 @@ class TestRunAgainstOracles:
         scenario = Scenario(network=two_by_two, diffusion=grid100,
                             v0=_smooth_two_by_two(grid100), dt=1e-3,
                             t_end=1.0, sample_every=50)
-        result = run(scenario)
+        result = run(scenario, fields=True)
         for t, field in zip(result.times, result.fields):
             expected = semigroup_apply(grid100,
                                        scenario.v0[0] - scenario.v0[1], float(t))
             measured = field[0] - field[1]
             err = np.sqrt(((measured - expected) ** 2) @ grid100.weights)
             assert err <= 1e-8
-        report = conservation_check(result)
-        assert report.worst <= 1e-8
+        assert result.conservation.max() <= 1e-8
+        assert result.mean_conservation.max() <= 1e-8
 
     def test_pure_diffusion_is_exactly_linear(self, two_by_two, grid50):
         scenario = Scenario(network=two_by_two, diffusion=grid50,
                             v0=_smooth_two_by_two(grid50), dt=1e-3,
                             t_end=0.5, sample_every=50, include_reaction=False)
-        result = run(scenario)
-        report = conservation_check(result)
-        assert report.worst <= 1e-12
+        result = run(scenario, fields=True)
+        assert result.conservation.max() <= 1e-12
+        assert result.mean_conservation.max() <= 1e-12
         # Every species (not only conserved combinations) diffuses freely.
         for t, field in zip(result.times, result.fields):
             expected = semigroup_apply(grid50, scenario.v0.T, float(t)).T
@@ -184,7 +184,7 @@ class TestRunAgainstOracles:
         def final_field(dt):
             scenario = Scenario(network=two_by_two, diffusion=grid50, v0=v0,
                                 dt=dt, t_end=0.5, sample_every=10**9)
-            return run(scenario).fields[-1]
+            return run(scenario, fields=True).fields[-1]
 
         reference = final_field(5e-4)
         coarse = np.abs(final_field(4e-3) - reference).max()
@@ -290,7 +290,7 @@ def _check_run_matches_step_loop(network, grid, scale, dt, n_steps, every,
     scenario = Scenario(network=network, diffusion=grid, v0=v0, dt=dt,
                         t_end=n_steps * dt, sample_every=every,
                         include_reaction=reaction)
-    result = run(scenario)
+    result = run(scenario, fields=True)
     times, fields, dist, resid, clamp, margin = _stepped_reference(scenario)
 
     assert np.array_equal(result.times, times)
@@ -343,3 +343,79 @@ class TestFusedRun:
                             dt=1e-3, t_end=0.2, sample_every=10)
         result = run(scenario)
         assert result.mean_conservation.max() <= 2e-14
+
+
+_BATCH_FIELDS = ("times", "fields", "distances", "variances", "conservation",
+                 "mean_conservation", "min_value", "clamp_l1", "bound_margin")
+
+
+class TestRunBatch:
+    @staticmethod
+    def _scenarios(network, grid, scales, dt=0.1, t_end=2.0, **numerics):
+        x = grid.cell_centers
+        scenarios = []
+        for scale in scales:
+            v0 = scale * np.array([1.0, 1.0, 0.05, 0.05])[:, None] \
+                * (1.0 + 0.5 * np.cos(np.pi * x))
+            v0[0] += 0.3 * scale * np.cos(2.0 * np.pi * x) ** 2
+            scenarios.append(Scenario(network=network, diffusion=grid, v0=v0,
+                                      dt=dt, t_end=t_end, sample_every=3,
+                                      **numerics))
+        return scenarios
+
+    @pytest.mark.parametrize("n_cells", [50, DCT_MIN_CELLS])
+    def test_bitwise_equal_to_single_runs(self, two_by_two, n_cells):
+        # The middle member clamps at this dt, the outer two do not.
+        grid = build_generator(n_cells)
+        scenarios = self._scenarios(two_by_two, grid, (1.0, 10.0, 2.0))
+        snapshot_times = (0.0, 0.5, 1.0)
+        batch = run_batch(scenarios, snapshot_times, fields=True)
+        assert [r.clamp_l1[-1] > 0.0 for r in batch] == [False, True, False]
+        for scenario, got in zip(scenarios, batch):
+            want = run(scenario, snapshot_times, fields=True)
+            assert got.scenario is scenario
+            for name in _BATCH_FIELDS:
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+            assert len(got.snapshots) == len(want.snapshots) == 3
+            for (t_got, v_got), (t_want, v_want) in zip(got.snapshots,
+                                                        want.snapshots):
+                assert t_got == t_want
+                assert np.array_equal(v_got, v_want)
+
+    def test_fields_are_opt_in(self, two_by_two, grid50):
+        scenarios = self._scenarios(two_by_two, grid50, (1.0, 2.0),
+                                    dt=1e-3, t_end=0.03)
+        assert all(r.fields is None for r in run_batch(scenarios))
+        assert run(scenarios[0]).fields is None
+
+    def test_rejects_scenarios_that_do_not_match(self, two_by_two,
+                                                 self_ionization, grid50):
+        base = self._scenarios(two_by_two, grid50, (1.0,), dt=1e-3,
+                               t_end=0.03)[0]
+        others = [
+            self._scenarios(two_by_two, build_generator(50), (1.0,),
+                            dt=1e-3, t_end=0.03)[0],
+            self._scenarios(two_by_two, grid50, (1.0,), dt=2e-3,
+                            t_end=0.03)[0],
+            self._scenarios(two_by_two, grid50, (1.0,), dt=1e-3,
+                            t_end=0.04)[0],
+            self._scenarios(two_by_two, grid50, (1.0,), dt=1e-3,
+                            t_end=0.03, include_reaction=False)[0],
+            Scenario(network=self_ionization, diffusion=grid50,
+                     v0=np.ones((3, 50)), dt=1e-3, t_end=0.03,
+                     sample_every=3),
+        ]
+        for other in others:
+            with pytest.raises(ValueError, match="must share"):
+                run_batch([base, other])
+        with pytest.raises(ValueError):
+            run_batch([])
+
+    def test_blowup_of_one_member_raises(self, self_ionization, grid50):
+        # As in test_blowup_raised_by_run, next to a member that stays tame.
+        tame = np.ones((3, 50))
+        wild = np.array([30.0, 1.0, 1.0])[:, None] * np.ones((3, 50))
+        scenarios = [Scenario(network=self_ionization, diffusion=grid50,
+                              v0=v0, dt=0.05, t_end=2.5) for v0 in (tame, wild)]
+        with pytest.raises(BlowUpError):
+            run_batch(scenarios)
