@@ -34,6 +34,10 @@ KINDS = ("ode", "rd", "spectral_gap", "sweep")
 # profiles while parsing.  A grid whose potential or diffusivity depends on
 # x needs the dense eigenbasis, and may have at most DENSE_MAX_CELLS.
 MAX_CELLS = 10**6
+# Most cell-steps (steps x species x cells x members) an rd or sweep config
+# may ask for: about 600 times the largest shipped run (two_by_two, 1.6e7),
+# and some ten minutes of stepping at the measured 1.6e7 cell-steps/s.
+MAX_CELL_STEPS = 10**10
 
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
 _CONSTANTS = {"pi": math.pi, "e": math.e}
@@ -211,8 +215,9 @@ class _Reader:
         except ValueError:
             self.report("bad-value", f"{section}.{key}", f"not a number: '{text}'")
             return default
-        if positive and not value > 0:
-            self.report("bad-value", f"{section}.{key}", "must be positive")
+        if positive and not (value > 0 and math.isfinite(value)):
+            self.report("bad-value", f"{section}.{key}",
+                        "must be positive and finite")
             return default
         return value
 
@@ -448,6 +453,15 @@ def parse_config(text: str) -> ScenarioConfig:
             elif any(not (math.isfinite(v) and v > 0) for v in sweep_values):
                 reader.report("bad-value", "sweep.values",
                               "values must be positive and finite")
+
+    if kind in ("rd", "sweep"):
+        members = max(len(sweep_values), 1)
+        cell_steps = t_end / dt * len(reactants) * n_cells * members
+        if cell_steps > MAX_CELL_STEPS:
+            reader.report("too-many-steps", "numerics.t_end",
+                          f"t_end/dt x species x cells x members is "
+                          f"{cell_steps:.3g}, above the budget of "
+                          f"{MAX_CELL_STEPS:.3g}")
 
     if issues:
         raise ConfigError(issues)

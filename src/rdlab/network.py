@@ -106,6 +106,39 @@ class ReactionNetwork:
         return tuple(tuple((i, int(e)) for i, e in enumerate(side) if e)
                      for side in (self.reactants, self.products))
 
+    @cached_property
+    def autocatalytic(self) -> bool:
+        """True when some species appears on both sides of the reaction."""
+        return bool(np.any((self.reactants > 0) & (self.products > 0)))
+
+    @cached_property
+    def riccati_coefficients(self) -> tuple[float, np.ndarray, float] | None:
+        """``(A, beta, beta0)`` of the net rate along the drift, or ``None``.
+
+        With ``w = signed_rates`` and ``R`` the net mass-action rate, a side
+        of total order at most 2 is a product of at most two factors
+        ``u_i + w_i s``, so ``R(u + w s) = A s^2 + (beta @ u + beta0) s +
+        R(u)``.  ``None`` when either side has total order above 2.
+        ``beta`` is shared, so it is read-only.
+        """
+        w = self.signed_rates
+        quadratic = 0.0
+        beta = np.zeros(self.n_species)
+        beta0 = 0.0
+        for sign, terms in zip((1.0, -1.0), self.monomial_terms):
+            if sum(e for _, e in terms) > 2:
+                return None
+            factors = [i for i, e in terms for _ in range(e)]
+            if len(factors) == 1:
+                beta0 += sign * w[factors[0]]
+            else:
+                i, j = factors
+                quadratic += sign * w[i] * w[j]
+                beta[i] += sign * w[j]
+                beta[j] += sign * w[i]
+        beta.flags.writeable = False
+        return float(quadratic), beta, float(beta0)
+
 
 @dataclass(frozen=True)
 class SteadyState:

@@ -1,11 +1,16 @@
 """Strang-split integrator for reaction-diffusion fields on the interval.
 
 Each time step is a half step of exact diffusion (through the grid's modal
-basis), a full classical RK4 step of the pointwise clamped mass-action
-kinetics, and another half step of diffusion.  The clamped kinetics
-evaluates the mass-action monomials on positive parts, which keeps the
-continuous flow inside the nonnegative orthant; any residual numerical
-undershoot is zeroed after the reaction substep and accounted in
+basis), a reaction substep, and another half step of diffusion.  The
+kinetics moves every cell along the drift ``w``, ``v + w s``, with one
+scalar extent ``s`` per cell.  When both sides of the reaction have total
+order at most 2, the rate along the drift is a quadratic in ``s``, and the
+substep is its exact Riccati flow: one mass-action evaluation per step, and
+in exact arithmetic it never leaves the nonnegative orthant.  Higher orders
+take a classical RK4 step of the clamped kinetics, which evaluates the
+mass-action monomials on positive parts.  Either way any undershoot left
+after the substep (roundoff, a negative value that came in with the state,
+or an RK4 step past its stability limit) is zeroed and accounted in
 ``clamp_l1``.
 
 ``step`` performs one such step.  ``run_batch`` merges the half steps: the
@@ -20,11 +25,11 @@ synthesised from modal coefficients computed once per run.
 
 ``run_batch`` steps several scenarios that share the network, the grid and
 the time stepping as one state, ``(species, members * cells)``: the kinetics
-of every member is one set of array operations per step, and diffusion acts
-on the stacked ``(members, species, cells)`` view, so every BLAS call and
-transform has the shape of a single run's.  Each member's result is bitwise
-the result of running it alone.  ``run`` is the batch of one.  The sampled
-fields are kept only on request (``fields=True``).
+of every member is one set of elementwise array operations per step, and
+diffusion acts on the stacked ``(members, species, cells)`` view, so every
+BLAS call and transform has the shape of a single run's.  Each member's
+result is bitwise the result of running it alone.  ``run`` is the batch of
+one.  The sampled fields are kept only on request (``fields=True``).
 """
 
 from __future__ import annotations
@@ -53,6 +58,7 @@ __all__ = [
 # Any concentration beyond this is a divergence: the a priori bounds keep
 # honest solutions within a few multiples of the initial data.
 _BLOWUP_LIMIT = 1e6
+_TINY = np.finfo(float).tiny
 
 
 class BlowUpError(RuntimeError):
@@ -91,8 +97,10 @@ class Scenario:
             raise ValueError("initial fields must be nonnegative")
         if np.any(self.initial_means <= 0):
             raise ValueError("every species needs a positive initial mean")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not (self.dt > 0 and np.isfinite(self.dt)):
+            raise ValueError("dt must be positive and finite")
+        if not np.isfinite(self.t_end):
+            raise ValueError("t_end must be finite")
         if self.t_end < self.dt:
             raise ValueError("t_end must cover at least one step")
         if self.sample_every < 1:
@@ -132,15 +140,11 @@ def clamped_mass_action(network: ReactionNetwork, v: np.ndarray) -> np.ndarray:
     return _monomial(vp, forward_terms) - _monomial(vp, backward_terms)
 
 
-def _reaction_substep(network: ReactionNetwork, v: np.ndarray, dt: float,
-                      weights: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """RK4 step of the clamped kinetics, then zero any undershoot.
+def _rk4(network: ReactionNetwork, v: np.ndarray, dt: float) -> np.ndarray:
+    """Classical RK4 step of the clamped kinetics.
 
-    ``v`` holds one or more members side by side, ``(species, members *
-    cells)``.  The kinetics moves every species along the drift ``w``, so
-    each RK4 stage is ``w`` times one scalar rate field.  Returns the new
-    fields and the weighted mass the clamp removed from each member, or
-    ``None`` when no value went negative.
+    The kinetics moves every species along the drift ``w``, so each stage
+    is ``w`` times one scalar rate field.
     """
     w = network.signed_rates[:, None]
     half = (0.5 * dt) * w
@@ -148,7 +152,77 @@ def _reaction_substep(network: ReactionNetwork, v: np.ndarray, dt: float,
     m2 = clamped_mass_action(network, v + half * m1)
     m3 = clamped_mass_action(network, v + half * m2)
     m4 = clamped_mass_action(network, v + (dt * w) * m3)
-    v = v + ((dt / 6.0) * w) * (m1 + 2.0 * m2 + 2.0 * m3 + m4)
+    return v + ((dt / 6.0) * w) * (m1 + 2.0 * m2 + 2.0 * m3 + m4)
+
+
+def _riccati_flow(network: ReactionNetwork, v: np.ndarray,
+                  dt: float) -> np.ndarray:
+    """Exact flow of the kinetics of a network of order at most 2.
+
+    Each cell moves along the drift, ``v + w s``, and its extent solves
+    ``ds/dt = A s^2 + B s + C`` from ``s(0) = 0``, with ``C`` the clamped
+    rate and ``B = beta @ max(v, 0) + beta0`` (``riccati_coefficients``):
+    ``s = 2C(1 - E) / ((delta - B) + (delta + B) E)``, where
+    ``delta = sqrt(B^2 - 4AC)`` and ``E = exp(-delta dt)``.  It never
+    divides by ``A``.  ``delta^2`` is clipped at the smallest normal float
+    against cancellation: in a cell where every species is 0, ``B = C =
+    0``, and the clip turns 0/0 into the ``delta -> 0`` limit.  Every
+    operation is elementwise per cell.
+    """
+    quadratic, beta, beta0 = network.riccati_coefficients
+    c = clamped_mass_action(network, v)
+    b = (beta[:, None] * np.maximum(v, 0.0)).sum(axis=0)
+    if beta0:
+        b += beta0
+    disc = b * b
+    if quadratic:
+        disc -= (4.0 * quadratic) * c
+    delta = np.sqrt(np.maximum(disc, _TINY, out=disc), out=disc)
+    m = np.expm1(delta * -dt)        # E - 1
+    plus = delta + b
+    if network.autocatalytic:
+        # A species on both sides lets B turn positive.  There delta - B
+        # cancels, so take it as -4AC / (delta + B), and E from exp, kept
+        # above 0 so that a cell resting on an unstable equilibrium, C = 0,
+        # keeps s = 0 however long the step.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            minus = np.where(b > 0.0, (-4.0 * quadratic) * c / plus, delta - b)
+        e = np.maximum(np.exp(delta * -dt), _TINY)
+        half = 0.5 * (minus + plus * e)
+    else:
+        # Here B <= 0, and the halved denominator delta + (delta + B) m / 2
+        # stays at least (delta - B) / 2 for any step.
+        half = plus
+        half *= 0.5 * m
+        half += delta
+    extent = c * m
+    extent /= half                   # -s
+    # Species 0's rounded increment moves every species, so each conserved
+    # combination (species 0 paired with species j) takes one rounding.
+    w = network.signed_rates
+    moved = v[0] - w[0] * extent
+    moved -= v[0]
+    out = (w / w[0])[:, None] * moved
+    out += v
+    return out
+
+
+def _reaction_substep(network: ReactionNetwork, v: np.ndarray, dt: float,
+                      weights: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Reaction step of the kinetics, then zero any undershoot.
+
+    ``v`` holds one or more members side by side, ``(species, members *
+    cells)``.  Networks of order at most 2 take the exact flow from the
+    clamped state, others an RK4 step of the clamped kinetics.  Either way
+    the step adds its increment to the incoming ``v``, so a negative value
+    that comes in is zeroed and accounted here with any outgoing
+    undershoot.  Returns the new fields and the weighted mass the clamp
+    removed from each member, or ``None`` when no value went negative.
+    """
+    if network.riccati_coefficients is None:
+        v = _rk4(network, v, dt)
+    else:
+        v = _riccati_flow(network, v, dt)
     if not v.min() < 0.0:
         return v, None
     n = weights.size
@@ -162,15 +236,16 @@ def _reaction_substep(network: ReactionNetwork, v: np.ndarray, dt: float,
     return v, removed
 
 
-def _check_bounds(v: np.ndarray, t: float) -> None:
+def _check_bounds(peak: float, t: float) -> None:
+    """Raise unless ``peak``, the largest magnitude in the state, is bounded."""
     # NaN fails the comparison as well as values beyond the limit.
-    if not np.abs(v).max() <= _BLOWUP_LIMIT:
+    if not peak <= _BLOWUP_LIMIT:
         raise BlowUpError(f"state left [-{_BLOWUP_LIMIT:g}, {_BLOWUP_LIMIT:g}] "
                           f"at t={t:g}; reduce dt or check the scenario")
 
 
 def step(state: FieldState, scenario: Scenario) -> FieldState:
-    """Advance one Strang step: half diffusion, reaction RK4, half diffusion."""
+    """Advance one Strang step: half diffusion, reaction, half diffusion."""
     basis = scenario.diffusion.basis
     half = 0.5 * scenario.dt
     v = basis.diffuse(state.v, half)
@@ -181,7 +256,7 @@ def step(state: FieldState, scenario: Scenario) -> FieldState:
         if removed is not None:
             clamp += float(removed[0])
     v = basis.diffuse(v, half)
-    _check_bounds(v, state.t + scenario.dt)
+    _check_bounds(np.abs(v).max(), state.t + scenario.dt)
     return FieldState(t=state.t + scenario.dt, v=v, clamp_l1=clamp)
 
 
@@ -379,7 +454,10 @@ def run_batch(scenarios, snapshot_times=(), fields: bool = False) -> list:
             u, removed = _reaction_substep(network, u, dt, weights)
             if removed is not None:
                 clamp += removed
-        _check_bounds(u, t)
+            # The substep leaves u nonnegative or NaN, which max propagates.
+            _check_bounds(u.max(), t)
+        else:
+            _check_bounds(np.abs(u).max(), t)
         if k % sample_every == 0 or k == n_steps:
             for recorder, block, c in zip(recorders, members(u), clamp):
                 recorder.sample(t, modal.analyse(block) * half_damp, float(c))

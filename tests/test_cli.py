@@ -259,6 +259,22 @@ class TestErrorPaths:
         assert time.perf_counter() - start < 1.0
         assert f"[{code}] initial.species_4" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, code", [
+        ("t_end = inf", "bad-value"),
+        ("dt = nan", "bad-value"),
+        ("t_end = 1e9", "too-many-steps"),
+    ])
+    def test_step_count_fails_fast(self, tmp_path, capsys, line, code):
+        key = line.split(" = ")[0]
+        text = RD_QUICK_CFG.replace({"t_end": "t_end = 3.0",
+                                     "dt": "dt = 1e-3"}[key], line)
+        cfg = _write(tmp_path, "long.cfg", text)
+        start = time.perf_counter()
+        assert main(["verify", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert f"[{code}] numerics." in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 def _loaded_by_cli_import(modules) -> str:
     """Which of ``modules`` a fresh ``import rdlab.cli`` loads."""

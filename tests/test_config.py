@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -212,6 +214,53 @@ value = 2
             parse_config(text)
         assert [(i.code, i.path) for i in err.value.issues] \
             == [("bad-value", "sweep.values")]
+
+    @pytest.mark.parametrize("section, line", [
+        ("numerics", "dt = inf"), ("numerics", "dt = nan"),
+        ("numerics", "t_end = inf"), ("numerics", "t_end = nan"),
+        ("numerics", "t_end = -inf"), ("numerics", "tol = inf"),
+        ("diffusion", "domain_length = inf"),
+    ])
+    def test_positive_numbers_must_be_finite(self, section, line):
+        key = line.split(" = ")[0]
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL_RD + f"\n[{section}]\n{line}\n")
+        assert [(i.code, i.path) for i in err.value.issues] \
+            == [("bad-value", f"{section}.{key}")]
+
+    def test_rate_constants_must_be_finite(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL_RD.replace("beta = 0 0 1 1",
+                                            "beta = 0 0 1 1\nl = inf"))
+        assert [(i.code, i.path) for i in err.value.issues] \
+            == [("bad-value", "network.l")]
+
+    def test_step_budget_counts_species_cells_and_scales(self):
+        # 4 species x 200 cells x 1e7 steps = 8e9 cell-steps: inside the
+        # budget alone, above it as a sweep of two scales.
+        numerics = "\n[numerics]\ndt = 1e-3\nt_end = 1e4\n"
+        assert parse_config(MINIMAL_RD + numerics).t_end == 1e4
+        sweep = (MINIMAL_RD.replace("kind = rd", "kind = sweep") + numerics
+                 + "\n[sweep]\nparameter = mass_scale\nvalues = 0.5 2.0\n")
+        with pytest.raises(ConfigError) as err:
+            parse_config(sweep)
+        assert [(i.code, i.path) for i in err.value.issues] \
+            == [("too-many-steps", "numerics.t_end")]
+        for t_end in ("1e9", "1e300"):
+            with pytest.raises(ConfigError) as err:
+                parse_config(MINIMAL_RD + numerics.replace("1e4", t_end))
+            assert [i.code for i in err.value.issues] == ["too-many-steps"]
+
+    def test_step_budget_covers_shipped_runs_100_times(self):
+        configs = Path(__file__).resolve().parents[1] / "configs"
+        largest = 0.0
+        for path in configs.glob("*.cfg"):
+            cfg = parse_config(path.read_text())
+            if cfg.kind in ("rd", "sweep"):
+                largest = max(largest, cfg.t_end / cfg.dt * len(cfg.reactants)
+                              * cfg.n_cells * max(len(cfg.sweep_values), 1))
+        assert largest == pytest.approx(1.6e7)    # two_by_two.cfg
+        assert config.MAX_CELL_STEPS >= 100 * largest
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError) as err:

@@ -5,6 +5,7 @@ from conftest import random_network
 from rdlab.diffusion import (DCT_MIN_CELLS, CosineBasis, build_generator,
                              semigroup_apply)
 from rdlab.kinetics import integrate_reaction
+from rdlab import rdsim
 from rdlab.network import steady_state
 from rdlab.rdsim import (BlowUpError, FieldState, Scenario, clamped_mass_action,
                          linear_reference, run, run_batch, step)
@@ -55,6 +56,13 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="finite"):
             Scenario(network=two_by_two, diffusion=grid50,
                      v0=np.full((4, 50), np.inf), dt=1e-3, t_end=1.0)
+
+    @pytest.mark.parametrize("dt, t_end", [(np.inf, 1.0), (np.nan, 1.0),
+                                           (1e-3, np.inf), (1e-3, np.nan)])
+    def test_rejects_non_finite_steps(self, two_by_two, grid50, dt, t_end):
+        with pytest.raises(ValueError, match="finite"):
+            Scenario(network=two_by_two, diffusion=grid50,
+                     v0=np.ones((4, 50)), dt=dt, t_end=t_end)
 
 
 class TestClampedMassAction:
@@ -203,22 +211,28 @@ class TestRunAgainstOracles:
         assert result.min_value.min() >= -1e-9
         assert result.clamp_l1[-1] <= 1e-8
 
-    def test_clamp_shrinks_under_refinement(self, self_ionization, grid100):
+    def test_clamp_shrinks_under_refinement(self, order_three, grid100):
+        # 2A + B <-> C keeps the RK4 substep.  With this much A, B reacts
+        # at a rate a^2 of up to 3600, so dt = 1e-3 is past RK4's stability
+        # limit (2.79 / rate) and clamps; halving dt resolves the kinetics.
         x = grid100.cell_centers
-        v0 = np.array([1.5 + 0.5 * np.cos(np.pi * x),
+        v0 = np.array([30.0 * (1.5 + 0.5 * np.cos(np.pi * x)),
                        0.5 * (1.0 + np.cos(2.0 * np.pi * x)),
                        0.3 * (1.0 - np.cos(2.0 * np.pi * x))])
 
         def clamp_at(dt):
-            scenario = Scenario(network=self_ionization, diffusion=grid100,
+            scenario = Scenario(network=order_three, diffusion=grid100,
                                 v0=v0, dt=dt, t_end=0.5, sample_every=10**9)
             return run(scenario).clamp_l1[-1]
 
-        coarse = clamp_at(1e-3)
-        fine = clamp_at(5e-4)
+        unresolved = clamp_at(1e-3)
+        coarse = clamp_at(5e-4)
+        fine = clamp_at(2.5e-4)
+        assert unresolved > 0.0
+        assert coarse <= unresolved / 4.0
         assert coarse <= 1e-8
-        # Fourth-order reaction substep: halving dt cuts any clamped mass by
-        # far more than 4x; the additive term covers exact zeros.
+        # Once resolved, halving dt cuts any clamped mass by far more than
+        # 4x; the additive term covers exact zeros.
         assert fine <= coarse / 4.0 + 1e-15
 
     def test_snapshots_recorded(self, two_by_two, grid50):
@@ -275,7 +289,7 @@ def _stepped_reference(scenario):
 _FUSED_CASES = [
     ("two_by_two", 1.0, 1e-3, 47, 10, True),
     ("two_by_two", 1.0, 1e-3, 30, 7, False),
-    ("two_by_two", 10.0, 0.1, 20, 3, True),      # clamps every few steps
+    ("order_three", 3.0, 0.1, 20, 3, True),      # RK4 clamps every few steps
     ("self_ionization", 1.0, 1e-3, 25, 1, True),
     ("self_ionization", 1.0, 2e-3, 40, 40, True),
 ]
@@ -322,12 +336,26 @@ class TestFusedRun:
         _check_run_matches_step_loop(request.getfixturevalue(name), grid,
                                      scale, dt, n_steps, every, reaction)
 
-    def test_blowup_raised_by_run(self, self_ionization, grid50):
+    def test_blowup_raised_by_run(self, order_three, grid50):
         # dt far beyond the RK4 stability limit of the fast kinetics.
         v0 = np.array([30.0, 1.0, 1.0])[:, None] * np.ones((3, 50))
-        scenario = Scenario(network=self_ionization, diffusion=grid50, v0=v0,
-                            dt=0.05, t_end=2.5)
+        scenario = Scenario(network=order_three, diffusion=grid50, v0=v0,
+                            dt=0.1, t_end=2.5)
         with pytest.raises(BlowUpError):
+            run(scenario)
+
+    @pytest.mark.parametrize("bad", [np.nan, 2e6])
+    def test_blowup_guard_after_substep(self, two_by_two, grid50,
+                                        monkeypatch, bad):
+        def substep(network, v, dt, weights):
+            v = v.copy()
+            v[1, 3] = bad
+            return v, None
+
+        monkeypatch.setattr(rdsim, "_reaction_substep", substep)
+        scenario = Scenario(network=two_by_two, diffusion=grid50,
+                            v0=np.ones((4, 50)), dt=1e-3, t_end=0.01)
+        with pytest.raises(BlowUpError, match="t=0.001"):
             run(scenario)
 
     def test_dct_run_keeps_conserved_means(self, two_by_two):
@@ -353,24 +381,18 @@ class TestRunBatch:
     @staticmethod
     def _scenarios(network, grid, scales, dt=0.1, t_end=2.0, **numerics):
         x = grid.cell_centers
+        base = np.array([1.0, 1.0, 0.05, 0.05][:network.n_species])
         scenarios = []
         for scale in scales:
-            v0 = scale * np.array([1.0, 1.0, 0.05, 0.05])[:, None] \
-                * (1.0 + 0.5 * np.cos(np.pi * x))
+            v0 = scale * base[:, None] * (1.0 + 0.5 * np.cos(np.pi * x))
             v0[0] += 0.3 * scale * np.cos(2.0 * np.pi * x) ** 2
             scenarios.append(Scenario(network=network, diffusion=grid, v0=v0,
                                       dt=dt, t_end=t_end, sample_every=3,
                                       **numerics))
         return scenarios
 
-    @pytest.mark.parametrize("n_cells", [50, DCT_MIN_CELLS])
-    def test_bitwise_equal_to_single_runs(self, two_by_two, n_cells):
-        # The middle member clamps at this dt, the outer two do not.
-        grid = build_generator(n_cells)
-        scenarios = self._scenarios(two_by_two, grid, (1.0, 10.0, 2.0))
-        snapshot_times = (0.0, 0.5, 1.0)
-        batch = run_batch(scenarios, snapshot_times, fields=True)
-        assert [r.clamp_l1[-1] > 0.0 for r in batch] == [False, True, False]
+    @staticmethod
+    def _check_members_match_single_runs(scenarios, batch, snapshot_times):
         for scenario, got in zip(scenarios, batch):
             want = run(scenario, snapshot_times, fields=True)
             assert got.scenario is scenario
@@ -381,6 +403,31 @@ class TestRunBatch:
                                                         want.snapshots):
                 assert t_got == t_want
                 assert np.array_equal(v_got, v_want)
+
+    @pytest.mark.parametrize("n_cells", [50, DCT_MIN_CELLS])
+    def test_bitwise_equal_to_single_runs(self, order_three, n_cells):
+        # RK4 substep: the middle member clamps at this dt, the outer two
+        # do not.
+        grid = build_generator(n_cells)
+        scenarios = self._scenarios(order_three, grid, (1.0, 3.0, 2.0))
+        snapshot_times = (0.0, 0.5, 1.0)
+        batch = run_batch(scenarios, snapshot_times, fields=True)
+        assert [r.clamp_l1[-1] > 0.0 for r in batch] == [False, True, False]
+        self._check_members_match_single_runs(scenarios, batch, snapshot_times)
+
+    @pytest.mark.parametrize("name", ["two_by_two", "self_ionization"])
+    @pytest.mark.parametrize("n_cells", [50, DCT_MIN_CELLS])
+    def test_exact_flow_bitwise_equal_to_single_runs(self, request, name,
+                                                     n_cells):
+        # Exact reaction flow, on members far apart in mass.
+        network = request.getfixturevalue(name)
+        grid = build_generator(n_cells)
+        scenarios = self._scenarios(network, grid, (0.25, 10.0, 1.0),
+                                    dt=0.01, t_end=0.2)
+        snapshot_times = (0.0, 0.05, 0.1)
+        batch = run_batch(scenarios, snapshot_times, fields=True)
+        assert all(r.clamp_l1[-1] == 0.0 for r in batch)
+        self._check_members_match_single_runs(scenarios, batch, snapshot_times)
 
     def test_fields_are_opt_in(self, two_by_two, grid50):
         scenarios = self._scenarios(two_by_two, grid50, (1.0, 2.0),
@@ -411,11 +458,11 @@ class TestRunBatch:
         with pytest.raises(ValueError):
             run_batch([])
 
-    def test_blowup_of_one_member_raises(self, self_ionization, grid50):
+    def test_blowup_of_one_member_raises(self, order_three, grid50):
         # As in test_blowup_raised_by_run, next to a member that stays tame.
         tame = np.ones((3, 50))
         wild = np.array([30.0, 1.0, 1.0])[:, None] * np.ones((3, 50))
-        scenarios = [Scenario(network=self_ionization, diffusion=grid50,
-                              v0=v0, dt=0.05, t_end=2.5) for v0 in (tame, wild)]
+        scenarios = [Scenario(network=order_three, diffusion=grid50,
+                              v0=v0, dt=0.1, t_end=2.5) for v0 in (tame, wild)]
         with pytest.raises(BlowUpError):
             run_batch(scenarios)
