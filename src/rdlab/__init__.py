@@ -13,8 +13,8 @@ from .diffusion import (DiscreteDiffusion, build_generator, moment4,
                         propagator, refinement_study, semigroup_apply,
                         variance)
 from .kinetics import (ScalarReduction, Trajectory, envelope_constant,
-                       exact_decay_residual, integrate_reaction, measure_rate,
-                       pivot_reduction)
+                       exact_decay_residual, exact_trajectory,
+                       integrate_reaction, measure_rate, pivot_reduction)
 from .network import (ReactionNetwork, SteadyState, build_network,
                       conservation_basis, is_two_by_two, mass_action,
                       normalize_rates, optimal_rate, steady_state)
@@ -28,6 +28,7 @@ __all__ = [
     "DiscreteDiffusion", "build_generator", "semigroup_apply",
     "propagator", "variance", "moment4", "refinement_study",
     "ScalarReduction", "Trajectory", "pivot_reduction", "integrate_reaction",
+    "exact_trajectory",
     "envelope_constant", "exact_decay_residual", "measure_rate",
     "FieldState", "Scenario", "RunResult", "clamped_mass_action",
     "linear_reference",

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import DiscreteDiffusion, moment4, semigroup_apply
+from .diffusion import DiscreteDiffusion, moment4
 from .network import ReactionNetwork, is_two_by_two, steady_state
 
 __all__ = [
@@ -142,31 +142,41 @@ def two_by_two_envelope(inputs: EnvelopeInputs, t) -> np.ndarray:
 
 def fourth_moment_decay_check(diff: DiscreteDiffusion, f, t_samples,
                               slack: float = 1e-10) -> tuple[bool, np.ndarray]:
-    """Check the semigroup's fourth-moment decay bound on a grid function.
+    """Check the semigroup's fourth-moment decay bound on grid functions.
 
-    For nonnegative ``f`` and every sample time, the centered fourth moment
+    ``f`` is one nonnegative grid function or a ``(k, n)`` stack of them.
+    For every function and every sample time, the centered fourth moment
     of the evolved function must stay below ``4 exp(-t / (2 gap_constant))``
-    times the raw fourth moment of ``f``.  Returns ``(passed, margins)``
-    with ``margins = bound - measured`` per sample.
+    times the raw fourth moment of that function.  The whole stack is
+    evolved with one ``basis.diffuse`` call per time.  Returns ``(passed,
+    margins)`` with ``margins = bound - measured``, shape ``f.shape[:-1] +
+    (len(t_samples),)``; ``passed`` holds when every function meets its
+    bound at every time.
     """
     f = np.asarray(f, dtype=float)
     if np.any(f < 0):
         raise ValueError("the fourth-moment bound is applied to nonnegative "
                          "grid functions")
-    mean = float(diff.weights @ f)
-    raw4 = moment4(diff, f)
     t_samples = np.asarray(t_samples, dtype=float)
-
-    margins = np.empty(t_samples.size)
-    passed = True
-    for k, t in enumerate(t_samples):
-        evolved = semigroup_apply(diff, f, float(t))
-        measured = float(diff.weights @ (evolved - mean) ** 4)
-        bound = 4.0 * np.exp(-t / (2.0 * diff.gap_constant)) * raw4
-        margins[k] = bound - measured
-        if measured > bound * (1.0 + slack):
-            passed = False
-    return passed, margins
+    if np.any(t_samples < 0):
+        raise ValueError("time must be nonnegative")
+    weights = diff.weights
+    mean = (f @ weights)[..., None]
+    raw4 = (f ** 4) @ weights
+    measured = []
+    for t in t_samples:
+        centered = diff.basis.diffuse(f, float(t))
+        centered -= mean
+        # Squared twice: ``** 4`` calls pow(), about 20 times slower on
+        # negative bases.
+        centered *= centered
+        centered *= centered
+        measured.append(centered @ weights)
+    measured = np.stack(measured, axis=-1)
+    bound = (4.0 * np.exp(-t_samples / (2.0 * diff.gap_constant))
+             * raw4[..., None])
+    passed = bool(np.all(measured <= bound * (1.0 + slack)))
+    return passed, bound - measured
 
 
 def exponential_tail_check(network: ReactionNetwork, times, series,

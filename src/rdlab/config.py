@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diffusion import DENSE_MAX_CELLS
+from .kinetics import step_count
+from .network import build_network, optimal_rate, steady_state
 
 __all__ = [
     "Expression",
@@ -36,7 +38,8 @@ KINDS = ("ode", "rd", "spectral_gap", "sweep")
 MAX_CELLS = 10**6
 # Most cell-steps (steps x species x cells x members) an rd or sweep config
 # may ask for: about 600 times the largest shipped run (two_by_two, 1.6e7),
-# and some ten minutes of stepping at the measured 1.6e7 cell-steps/s.
+# and some ten minutes of stepping at the measured 1.6e7 cell-steps/s.  A
+# well-mixed (ode) config has its own budget, kinetics.MAX_STEPS.
 MAX_CELL_STEPS = 10**10
 
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
@@ -462,6 +465,24 @@ def parse_config(text: str) -> ScenarioConfig:
                           f"t_end/dt x species x cells x members is "
                           f"{cell_steps:.3g}, above the budget of "
                           f"{MAX_CELL_STEPS:.3g}")
+
+    if kind == "ode" and not issues:
+        # A well-mixed run takes t_end x rate / kinetics.SAMPLE_SPACING
+        # samples (or RK45 steps), with the sharp rate of its steady state.
+        # Data without a steady state are left for the run to report.
+        v0 = [float(compile_expression(text)(0.0)) for text in initial]
+        network = build_network(reactants, products, rate_forward,
+                                rate_backward)
+        try:
+            with np.errstate(all="ignore"):
+                rate = optimal_rate(network, steady_state(network, v0))
+        except (ValueError, RuntimeError):
+            rate = math.nan
+        if not math.isnan(rate):
+            try:
+                step_count(rate, t_end)
+            except ValueError as exc:
+                reader.report("too-many-steps", "numerics.t_end", str(exc))
 
     if issues:
         raise ConfigError(issues)

@@ -1,11 +1,20 @@
-"""Well-mixed kinetics: scalar reduction, integration, and decay envelopes.
+"""Well-mixed kinetics: scalar reduction, trajectories, and decay envelopes.
 
 Because all conserved combinations are frozen without diffusion, the full
 q-species system collapses onto a single pivot species; every other
 concentration is an affine function of the pivot.  The pivot obeys a scalar
-polynomial ODE whose unique root in the physical window is the steady value,
-which makes both the sharp decay rate and an exact closed-form expression
-for the distance to equilibrium available for verification.
+polynomial ODE whose unique root in the physical window is the steady value
+(``network.steady_state``), which makes both the sharp decay rate and an
+exact closed-form expression for the distance to equilibrium available for
+verification.
+
+A trajectory is sampled at uniform times about ``SAMPLE_SPACING / rate``
+apart.  When both sides of the reaction have total order at most 2, the
+pivot follows the exact Riccati flow of ``rdsim``, evaluated at every sample
+time in one vectorised call (``exact_trajectory``); no ODE solver runs.
+Higher orders integrate the pivot equation with RK45, its step capped at the
+same spacing (``integrate_reaction``).  Either way a run may take at most
+``MAX_STEPS`` samples or steps.
 """
 
 from __future__ import annotations
@@ -16,7 +25,8 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .analysis import fit_decay_rate
-from .network import ReactionNetwork, SteadyState
+from .network import ReactionNetwork, SteadyState, steady_state
+from .rdsim import _riccati_flow
 
 __all__ = [
     "ScalarReduction",
@@ -24,10 +34,20 @@ __all__ = [
     "StiffnessError",
     "pivot_reduction",
     "integrate_reaction",
+    "exact_trajectory",
+    "step_count",
     "envelope_constant",
     "exact_decay_residual",
     "measure_rate",
 ]
+
+
+# Sample spacing (and RK45's step cap) in units of the decay time 1 / rate:
+# the sampled tail keeps full relative accuracy for rate fitting.
+SAMPLE_SPACING = 0.08
+# Most samples or RK45 steps a well-mixed run may take: about 250 times the
+# 401 samples of the shipped self_ionization_ode config.
+MAX_STEPS = 10**5
 
 
 class StiffnessError(RuntimeError):
@@ -138,9 +158,8 @@ def pivot_reduction(network: ReactionNetwork, v0) -> ScalarReduction:
         opposite = v0[pos] / w[pos]
         upper = v0[pivot] - w[pivot] * float(np.min(opposite)) if pos.size else np.inf
 
-    rate = _rate_factory(network, slopes, offsets, pivot)
-    root = _bisect_root(rate, upper, v0[pivot])
-    cofactor, remainder = _divide_out_root(rhs, root)
+    root = float(steady_state(network, v0).concentrations[pivot])
+    cofactor = _divide_out_root(rhs, root)
 
     return ScalarReduction(
         pivot=pivot,
@@ -153,54 +172,65 @@ def pivot_reduction(network: ReactionNetwork, v0) -> ScalarReduction:
     )
 
 
-def _bisect_root(rate, upper: float, start: float) -> float:
-    """Locate the unique zero of the rate function in (0, upper).
-
-    The rate is positive below the root and negative above it, so
-    sign-based bisection from padded endpoints converges unconditionally.
-    """
-    if np.isfinite(upper):
-        lo = 1e-13 * upper
-        hi = upper * (1.0 - 1e-13)
-    else:
-        lo = 1e-13 * start
-        hi = 2.0 * start
-        for _ in range(200):
-            if rate(hi) < 0:
-                break
-            hi *= 2.0
-        else:
-            raise RuntimeError("could not bracket the steady value from above")
-
-    flo = rate(lo)
-    for _ in range(8):
-        if flo > 0:
-            break
-        lo *= 0.125
-        flo = rate(lo)
-    if not (flo > 0 and rate(hi) < 0):
-        raise RuntimeError("rate function does not change sign on the window")
-
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if rate(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
-
-
-def _divide_out_root(coeffs: np.ndarray, root: float) -> tuple[np.ndarray, float]:
-    """Synthetic division: coeffs(X) = (X - root) * quotient(X) + remainder."""
+def _divide_out_root(coeffs: np.ndarray, root: float) -> np.ndarray:
+    """Synthetic division: the quotient of coeffs(X) by (X - root)."""
     n = coeffs.size
     quotient = np.zeros(max(n - 1, 1))
     quotient[-1] = coeffs[-1]
     for k in range(n - 2, 0, -1):
         quotient[k - 1] = coeffs[k] + root * quotient[k]
-    remainder = coeffs[0] + root * quotient[0]
-    return quotient, float(remainder)
+    return quotient
+
+
+def _decay_rate(reduction: ScalarReduction) -> float:
+    """Sharp decay rate ``-Q(fixed_point)`` of the pivot."""
+    return float(-npoly.polyval(reduction.fixed_point,
+                                reduction.cofactor_coeffs))
+
+
+def _within_budget(steps: float) -> float:
+    if not steps <= MAX_STEPS:
+        raise ValueError(f"reaching t_end takes {steps:.3g} steps, above the "
+                         f"budget of {MAX_STEPS:.3g}")
+    return steps
+
+
+def step_count(rate: float, t_end: float) -> int:
+    """Whole steps of about ``SAMPLE_SPACING / rate`` from 0 to ``t_end``.
+
+    Raises ``ValueError`` above ``MAX_STEPS``, before anything of that size
+    is allocated.
+    """
+    return max(1, round(_within_budget(t_end * rate / SAMPLE_SPACING)))
+
+
+def _trajectory(reduction: ScalarReduction, times, pivot_values) -> Trajectory:
+    """Every species from the pivot series, through the affine reduction."""
+    states = (pivot_values[:, None] * reduction.slopes[None, :]
+              + reduction.offsets[None, :])
+    return Trajectory(times=times, states=states, pivot=reduction.pivot,
+                      reduction=reduction)
+
+
+def exact_trajectory(network: ReactionNetwork, v0, t_end: float) -> Trajectory:
+    """Sample the exact well-mixed flow of a network of order at most 2.
+
+    The times are uniform from 0 to ``t_end``, in ``step_count`` equal steps.
+    Every sample is the Riccati flow of ``rdsim`` taken from ``v0`` over its
+    own time, one column per sample, so no error accumulates along the
+    trajectory.
+    """
+    if network.riccati_coefficients is None:
+        raise ValueError("the exact flow needs both sides of order <= 2")
+    if t_end <= 0:
+        raise ValueError("t_end must be positive")
+    reduction = pivot_reduction(network, v0)
+    times = np.linspace(0.0, t_end,
+                        step_count(_decay_rate(reduction), t_end) + 1)
+    columns = np.repeat(np.asarray(v0, dtype=float)[:, None], times.size,
+                        axis=1)
+    flow = _riccati_flow(network, columns, times)
+    return _trajectory(reduction, times, flow[reduction.pivot])
 
 
 def integrate_reaction(network: ReactionNetwork, v0, t_end: float,
@@ -210,9 +240,11 @@ def integrate_reaction(network: ReactionNetwork, v0, t_end: float,
 
     Only the scalar pivot equation is integrated; the remaining species are
     reconstructed through the affine relations, so conserved combinations
-    hold to machine precision.  The step size is additionally capped well
-    below the decay time scale so that the sampled tail keeps full relative
-    accuracy for rate fitting.
+    hold to machine precision.  The step size is additionally capped at
+    ``SAMPLE_SPACING / rate`` so that the sampled tail keeps full relative
+    accuracy for rate fitting; a horizon that needs more than ``MAX_STEPS``
+    such steps raises ``ValueError``.  This is the path for networks of
+    order above 2, and an oracle for ``exact_trajectory``.
     """
     from scipy.integrate import solve_ivp
 
@@ -224,9 +256,9 @@ def integrate_reaction(network: ReactionNetwork, v0, t_end: float,
     # Cap the step well below the decay scale: in the tail the controller
     # would otherwise grow the step until the per-step decay factor loses
     # relative accuracy, biasing fitted rates and the closed-form check.
-    decay = -npoly.polyval(reduction.fixed_point, reduction.cofactor_coeffs)
     if max_step is None:
-        max_step = min(t_end, 0.08 / max(decay, 1e-12))
+        max_step = min(t_end, SAMPLE_SPACING / max(_decay_rate(reduction), 1e-12))
+    _within_budget(t_end / max_step)
 
     sol = solve_ivp(lambda t, y: [rate(y[0])], (0.0, t_end),
                     [float(np.asarray(v0, dtype=float)[reduction.pivot])],
@@ -234,11 +266,7 @@ def integrate_reaction(network: ReactionNetwork, v0, t_end: float,
                     max_step=max_step, t_eval=t_eval)
     if not sol.success:
         raise StiffnessError(f"adaptive integration failed: {sol.message}")
-
-    pivot_values = sol.y[0]
-    states = pivot_values[:, None] * reduction.slopes[None, :] + reduction.offsets[None, :]
-    return Trajectory(times=sol.t, states=states, pivot=reduction.pivot,
-                      reduction=reduction)
+    return _trajectory(reduction, sol.t, sol.y[0])
 
 
 def _log_factor_integrand(reduction: ScalarReduction):

@@ -222,9 +222,10 @@ def steady_state(network: ReactionNetwork, means) -> SteadyState:
 
     The steady state lies on the affine line ``means + t * signed_rates``;
     the detailed-balance product condition becomes ``phi(t) = 1`` where
-    ``log phi`` is strictly increasing between the two blow-up endpoints,
-    so the root is found by bisection on ``log phi``.  Bisection (rather
-    than Newton) converges unconditionally near the endpoints.
+    ``log phi`` is strictly increasing between the two blow-up endpoints.
+    Bisection on ``log phi``, which converges unconditionally near the
+    endpoints, brackets the root; at most three Newton steps inside that
+    bracket then polish it to roundoff.
     """
     means = np.asarray(means, dtype=float)
     if means.shape != (network.n_species,):
@@ -262,6 +263,17 @@ def steady_state(network: ReactionNetwork, means) -> SteadyState:
         if hi - lo <= 1e-14 * span:
             t = 0.5 * (lo + hi)
             break
+
+    # The slope of log phi, sum_i e_i w_i / (means_i + t w_i), is positive.
+    drift = exponents * w
+    for _ in range(3):
+        value = log_phi(t)
+        if value == 0.0:
+            break
+        polished = t - value / float(drift @ (1.0 / (means + t * w)))
+        if not lo <= polished <= hi or polished == t:
+            break
+        t = polished
 
     concentrations = means + t * w
     residual = abs(float(np.expm1(log_phi(t))))

@@ -156,7 +156,7 @@ def _rk4(network: ReactionNetwork, v: np.ndarray, dt: float) -> np.ndarray:
 
 
 def _riccati_flow(network: ReactionNetwork, v: np.ndarray,
-                  dt: float) -> np.ndarray:
+                  dt: float | np.ndarray) -> np.ndarray:
     """Exact flow of the kinetics of a network of order at most 2.
 
     Each cell moves along the drift, ``v + w s``, and its extent solves
@@ -167,7 +167,9 @@ def _riccati_flow(network: ReactionNetwork, v: np.ndarray,
     divides by ``A``.  ``delta^2`` is clipped at the smallest normal float
     against cancellation: in a cell where every species is 0, ``B = C =
     0``, and the clip turns 0/0 into the ``delta -> 0`` limit.  Every
-    operation is elementwise per cell.
+    operation is elementwise per cell, so ``dt`` may also be an array with
+    one step per column (``kinetics.exact_trajectory`` flows one initial
+    state to every sample time at once).
     """
     quadratic, beta, beta0 = network.riccati_coefficients
     c = clamped_mass_action(network, v)

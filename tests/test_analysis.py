@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,41 @@ class TestFourthMomentCheck:
                                                     (0.01, 0.1, 1.0))
             assert ok
             assert margins.min() >= 0.0
+
+    @pytest.mark.parametrize("n", [200, 400])    # dense, DCT
+    def test_stack_matches_per_function_loop(self, n):
+        grid = build_generator(n)
+        stack = np.random.default_rng(7).uniform(0.0, 2.0, (50, n))
+        times = (0.01, 0.1, 1.0)
+        ok, margins = fourth_moment_decay_check(grid, stack, times)
+        assert ok and margins.shape == (50, 3)
+        for f, row in zip(stack, margins):
+            # Independent of the stack code: semigroup_apply per time.
+            mean = grid.weights @ f
+            bound = (4.0 * np.exp(-np.array(times) / (2.0 * grid.gap_constant))
+                     * moment4(grid, f))
+            measured = [grid.weights @ (semigroup_apply(grid, f, t) - mean) ** 4
+                        for t in times]
+            assert np.allclose(row, bound - measured, rtol=1e-13, atol=0.0)
+
+    def test_stack_draw_equals_sequential_draws(self):
+        # gap draws its 50 functions as one stack; the stream is unchanged.
+        stack = np.random.default_rng(11).uniform(0.0, 2.0, (50, 300))
+        rng = np.random.default_rng(11)
+        assert np.array_equal(stack, [rng.uniform(0.0, 2.0, 300)
+                                      for _ in range(50)])
+
+    def test_stack_fails_on_one_bad_function(self, grid200):
+        stack = np.ones((3, grid200.n_cells))
+        stack[1, : grid200.n_cells // 2] = 2.0
+        assert fourth_moment_decay_check(grid200, stack, (0.1,), slack=0.0)[0]
+        # A gap constant 25 times too small shrinks the bounds by about
+        # 1e-10 at t = 0.1; only the non-constant function then fails.
+        squeezed = dataclasses.replace(grid200, gap_constant=2e-3)
+        ok, margins = fourth_moment_decay_check(squeezed, stack, (0.1,),
+                                                slack=0.0)
+        assert not ok
+        assert margins[1, 0] < 0.0 < min(margins[0, 0], margins[2, 0])
 
     def test_rejects_negative_function(self, grid200):
         f = np.ones(grid200.n_cells)

@@ -6,6 +6,7 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rdlab
@@ -118,6 +119,29 @@ class TestVerify:
         assert "FAIL" not in out
         assert (tmp_path / "out" / "trajectory.csv").is_file()
         assert (tmp_path / "out" / "report.csv").is_file()
+
+    def test_ode_trajectory_on_uniform_cadence(self, tmp_path, capsys):
+        # The exact flow sampled every 0.08 / kappa (kappa = 4) up to t_end.
+        cfg = _write(tmp_path, "ode.cfg", ODE_CFG)
+        assert main(["verify", cfg, "--out", str(tmp_path / "out")]) == 0
+        rows = _rows(tmp_path / "out" / "trajectory.csv")
+        times = np.array([float(row[0]) for row in rows[1:]])
+        assert times.size == 401 and times[-1] == 8.0
+        assert np.allclose(np.diff(times), 0.02, rtol=1e-12, atol=0.0)
+
+    def test_ode_verify_of_order_three_takes_rk45(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "ode3.cfg",
+                     ODE_CFG.replace("alpha = 2 0 0", "alpha = 2 1 0")
+                            .replace("beta = 0 1 1", "beta = 0 0 1")
+                            .replace("species_2 = 1e-9", "species_2 = 1"))
+        code = main(["verify", cfg, "--out", str(tmp_path / "out")])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.count("PASS") == 5 and "FAIL" not in out
+        times = [float(row[0]) for row in
+                 _rows(tmp_path / "out" / "trajectory.csv")[1:]]
+        assert times[-1] == 8.0
+        assert np.ptp(np.diff(times)) > 1e-3    # adaptive steps
 
     def test_rd_verify_passes_and_writes_snapshots(self, tmp_path, capsys):
         cfg = _write(tmp_path, "rd.cfg", RD_QUICK_CFG)
@@ -273,6 +297,20 @@ class TestErrorPaths:
         assert main(["verify", cfg, "--out", str(tmp_path / "out")]) == 2
         assert time.perf_counter() - start < 1.0
         assert f"[{code}] numerics." in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("network", ["", "alpha = 2 1 0\nbeta = 0 0 1\n"],
+                             ids=["exact_flow", "order_three"])
+    def test_ode_step_count_fails_fast(self, tmp_path, capsys, network):
+        # 5e10 samples, or RK45 steps of 0.08 / kappa, to t_end = 1e9.
+        text = ODE_CFG.replace("t_end = 8.0", "t_end = 1e9")
+        if network:
+            text = text.replace("alpha = 2 0 0\nbeta = 0 1 1\n", network)
+        cfg = _write(tmp_path, "long.cfg", text)
+        start = time.perf_counter()
+        assert main(["verify", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "[too-many-steps] numerics.t_end" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 

@@ -3,9 +3,27 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rdlab import config
+from rdlab import config, kinetics
 from rdlab.config import (ConfigError, ExpressionError, compile_expression,
                           parse_config, serialize_config)
+
+MINIMAL_ODE = """
+[scenario]
+kind = ode
+id = minimal_ode
+
+[network]
+alpha = 2 0 0
+beta = 0 1 1
+
+[initial]
+species_1 = 2
+species_2 = 1e-9
+species_3 = 1e-9
+
+[numerics]
+t_end = 8.0
+"""
 
 MINIMAL_RD = """
 [scenario]
@@ -261,6 +279,52 @@ value = 2
                               * cfg.n_cells * max(len(cfg.sweep_values), 1))
         assert largest == pytest.approx(1.6e7)    # two_by_two.cfg
         assert config.MAX_CELL_STEPS >= 100 * largest
+
+    @pytest.mark.parametrize("network", [
+        "",                                # self-ionization: the exact flow
+        "alpha = 2 1 0\nbeta = 0 0 1\n",  # order 3: RK45
+    ], ids=["exact_flow", "order_three"])
+    def test_ode_step_budget(self, network):
+        text = MINIMAL_ODE
+        if network:
+            text = text.replace("alpha = 2 0 0\nbeta = 0 1 1\n", network)
+        assert parse_config(text).t_end == 8.0
+        # The sharp rate sets the count, t_end x rate / 0.08: at rate 4
+        # (self-ionization) t_end = 2000 is just past the budget of 1e5.
+        for line in ("t_end = 2000", "t_end = 1e9", "t_end = 1e300"):
+            with pytest.raises(ConfigError) as err:
+                parse_config(text.replace("t_end = 8.0", line))
+            assert [(i.code, i.path) for i in err.value.issues] \
+                == [("too-many-steps", "numerics.t_end")]
+        with pytest.raises(ConfigError) as err:
+            parse_config(text.replace("[initial]", "l = 1e6\nk = 1e6\n\n[initial]"))
+        assert [i.code for i in err.value.issues] == ["too-many-steps"]
+
+    @pytest.mark.parametrize("species", [
+        ("0", "1e-9", "1e-9"),          # the run rejects it
+        ("1e-300", "1e300", "1e-9"),    # no steady-state bracket
+    ], ids=["nonpositive", "unbracketed"])
+    def test_ode_step_budget_leaves_unsolvable_data_to_the_run(self, species):
+        text = MINIMAL_ODE
+        for i, (old, new) in enumerate(zip(("2", "1e-9", "1e-9"), species), 1):
+            text = text.replace(f"species_{i} = {old}", f"species_{i} = {new}")
+        assert parse_config(text).initial == species
+
+    def test_ode_step_budget_covers_shipped_runs_100_times(self):
+        from rdlab.network import build_network, optimal_rate, steady_state
+
+        configs = Path(__file__).resolve().parents[1] / "configs"
+        largest = 0
+        for path in configs.glob("*.cfg"):
+            cfg = parse_config(path.read_text())
+            if cfg.kind == "ode":
+                network = build_network(cfg.reactants, cfg.products,
+                                        cfg.rate_forward, cfg.rate_backward)
+                v0 = [float(compile_expression(t)(0.0)) for t in cfg.initial]
+                rate = optimal_rate(network, steady_state(network, v0))
+                largest = max(largest, kinetics.step_count(rate, cfg.t_end) + 1)
+        assert largest == 401                     # self_ionization_ode.cfg
+        assert kinetics.MAX_STEPS >= 100 * largest
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError) as err:

@@ -1,12 +1,16 @@
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from numpy.polynomial import polynomial as npoly
 
 from rdlab.kinetics import (Trajectory, envelope_constant, exact_decay_residual,
-                            integrate_reaction, measure_rate, pivot_reduction)
+                            exact_trajectory, integrate_reaction, measure_rate,
+                            pivot_reduction)
 from rdlab.network import conservation_basis, optimal_rate, steady_state
 
-from conftest import random_network
+from conftest import random_low_order_network, random_network
 
 
 class TestPivotReduction:
@@ -116,6 +120,54 @@ class TestIntegrate:
     def test_rejects_bad_horizon(self, two_by_two):
         with pytest.raises(ValueError, match="positive"):
             integrate_reaction(two_by_two, np.ones(4), 0.0)
+
+
+class TestExactTrajectory:
+    @given(st.integers(0, 2**32 - 1))
+    def test_matches_rk45(self, seed):
+        rng = np.random.default_rng(seed)
+        net = random_low_order_network(rng)
+        v0 = rng.uniform(0.2, 2.0, net.n_species)
+        rate = optimal_rate(net, steady_state(net, v0))
+        exact = exact_trajectory(net, v0, 10.0 / rate)
+        reference = integrate_reaction(net, v0, exact.times[-1], tol=1e-12,
+                                       t_eval=exact.times)
+        assert np.array_equal(reference.times, exact.times)
+        assert exact.pivot == reference.pivot
+        assert np.abs(exact.states - reference.states).max() \
+            <= 1e-9 * max(1.0, v0.max())
+
+    def test_uniform_cadence_on_shipped_data(self, self_ionization):
+        # kappa = 4 (1 + eps): 400 steps of 0.08 / kappa to t_end = 8.
+        v0 = np.array([2.0, 1e-9, 1e-9])
+        trajectory = exact_trajectory(self_ionization, v0, 8.0)
+        assert trajectory.times.size == 401
+        assert trajectory.times[-1] == 8.0
+        assert np.allclose(np.diff(trajectory.times), 0.02, rtol=1e-12,
+                           atol=0.0)
+        assert np.array_equal(trajectory.states[0], v0)
+        drift = conservation_basis(self_ionization) @ (
+            trajectory.states.T - v0[:, None])
+        assert np.abs(drift).max() <= 2e-16
+        rate, _ = measure_rate(trajectory, steady_state(self_ionization, v0))
+        assert rate == pytest.approx(4.0, rel=1e-5)
+
+    def test_rejects_order_above_two(self, order_three):
+        with pytest.raises(ValueError, match="order"):
+            exact_trajectory(order_three, np.ones(3), 1.0)
+
+    def test_step_budget_fails_before_allocating(self, self_ionization,
+                                                 order_three):
+        # 5e10 samples or RK45 steps; neither run may start.
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="budget"):
+            exact_trajectory(self_ionization, np.array([2.0, 1e-9, 1e-9]),
+                             1e9)
+        with pytest.raises(ValueError, match="budget"):
+            integrate_reaction(order_three, np.ones(3), 1e9)
+        with pytest.raises(ValueError, match="budget"):
+            integrate_reaction(order_three, np.ones(3), 1.0, max_step=1e-9)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestEnvelope:

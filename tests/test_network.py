@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -168,6 +170,38 @@ class TestSteadyState:
                 if hi - lo <= 1e-15:
                     break
             assert abs(0.5 * (lo + hi) - ss.line_parameter) <= 1e-10
+
+
+class TestSteadyStateExact:
+    """Steady states against exact rationals of the float means."""
+
+    @staticmethod
+    def _assert_within_ulps(ss, exact):
+        for value, want in zip(ss.concentrations, exact):
+            assert abs(Fraction(float(value)) - want) \
+                <= 2 * Fraction(float(np.spacing(float(want))))
+        assert ss.product_residual <= 1e-14
+
+    def test_self_ionization(self, self_ionization):
+        # (eps + t)^2 = (2 - 2t)^2: every species settles at (2 + 2 eps) / 3.
+        eps = 1e-9
+        ss = steady_state(self_ionization, [2.0, eps, eps])
+        self._assert_within_ulps(ss, [(2 + 2 * Fraction(eps)) / 3] * 3)
+
+    def test_two_by_two(self, two_by_two):
+        # a - t = (a + c)(a + d) / (a + b + c + d) on the line (-t, -t, t, t).
+        means = [1.0, 2.0, 0.3, 0.7]
+        a, b, c, d = map(Fraction, means)
+        t = a - (a + c) * (a + d) / (a + b + c + d)
+        ss = steady_state(two_by_two, means)
+        self._assert_within_ulps(ss, [a - t, b - t, c + t, d + t])
+
+    def test_autocatalytic(self):
+        # 2A <-> A + B with unit rates: a^2 = a b, so a = b = (m_a + m_b) / 2.
+        network = build_network([2, 0], [1, 1])
+        ss = steady_state(network, [0.7, 0.1])
+        half = (Fraction(0.7) + Fraction(0.1)) / 2
+        self._assert_within_ulps(ss, [half, half])
 
 
 class TestOptimalRate:
