@@ -5,26 +5,26 @@ coupled system (or its well-mixed limit), and verify measured exponential
 decay rates against the sharp theoretical envelopes.
 """
 
-from .analysis import (DecayReport, EnvelopeInputs, classify_regime,
-                       envelope_inputs, exponential_tail_check,
-                       fit_decay_rate, fourth_moment_decay_check,
-                       two_by_two_envelope)
+from .analysis import (EnvelopeInputs, classify_regime, envelope_inputs,
+                       exponential_tail_check, fit_decay_rate,
+                       fourth_moment_decay_check, two_by_two_envelope)
 from .diffusion import (DiscreteDiffusion, build_generator, moment4,
                         propagator, refinement_study, semigroup_apply,
                         variance)
 from .kinetics import (ScalarReduction, Trajectory, envelope_constant,
                        exact_decay_residual, exact_trajectory,
                        integrate_reaction, measure_rate, pivot_reduction)
-from .network import (ReactionNetwork, SteadyState, build_network,
-                      conservation_basis, is_two_by_two, mass_action,
-                      normalize_rates, optimal_rate, steady_state)
+from .network import (NetworkError, ReactionNetwork, SteadyState,
+                      build_network, conservation_basis, is_two_by_two,
+                      mass_action, normalize_rates, optimal_rate,
+                      steady_state)
 from .rdsim import (FieldState, RunResult, Scenario, clamped_mass_action,
                     linear_reference)
 
 __all__ = [
-    "ReactionNetwork", "SteadyState", "build_network", "normalize_rates",
-    "conservation_basis", "steady_state", "optimal_rate", "mass_action",
-    "is_two_by_two",
+    "NetworkError", "ReactionNetwork", "SteadyState", "build_network",
+    "normalize_rates", "conservation_basis", "steady_state", "optimal_rate",
+    "mass_action", "is_two_by_two",
     "DiscreteDiffusion", "build_generator", "semigroup_apply",
     "propagator", "variance", "moment4", "refinement_study",
     "ScalarReduction", "Trajectory", "pivot_reduction", "integrate_reaction",
@@ -32,7 +32,7 @@ __all__ = [
     "envelope_constant", "exact_decay_residual", "measure_rate",
     "FieldState", "Scenario", "RunResult", "clamped_mass_action",
     "linear_reference",
-    "DecayReport", "EnvelopeInputs", "fit_decay_rate", "envelope_inputs",
+    "EnvelopeInputs", "fit_decay_rate", "envelope_inputs",
     "two_by_two_envelope", "classify_regime", "fourth_moment_decay_check",
     "exponential_tail_check",
 ]

@@ -10,7 +10,6 @@ from .diffusion import DiscreteDiffusion, moment4
 from .network import ReactionNetwork, is_two_by_two, steady_state
 
 __all__ = [
-    "DecayReport",
     "EnvelopeInputs",
     "DegenerateWindowError",
     "fit_decay_rate",
@@ -28,19 +27,6 @@ _EQUAL_RATE_TOL = 1e-9
 
 class DegenerateWindowError(ValueError):
     """The fit window contains no usable decay signal."""
-
-
-@dataclass(frozen=True)
-class DecayReport:
-    """Verdict record for one scenario."""
-
-    scenario_id: str
-    rate_fit: float
-    fit_r2: float
-    rate_theory: float
-    envelope_margin: float
-    regime: str
-    verdict: bool
 
 
 def fit_decay_rate(times, values, window_fraction: float = 0.6,

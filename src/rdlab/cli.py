@@ -97,14 +97,32 @@ def _initial_fields(cfg: ScenarioConfig, diff) -> np.ndarray:
     return v0
 
 
-def _report_row(report: analysis.DecayReport):
-    return (report.scenario_id, report.regime, report.rate_theory,
-            report.rate_fit, report.fit_r2, report.envelope_margin,
-            report.verdict)
+# The summary entries that report.csv repeats, in the summary's order.
+_REPORT_KEYS = ("scenario_id", "regime", "rate_theory", "rate_fit",
+                "fit_r2", "envelope_margin", "verdict")
 
 
-_REPORT_HEADER = ("scenario_id", "regime", "rate_theory", "rate_fit",
-                  "fit_r2", "envelope_margin", "verdict")
+def _write_report(out_dir: Path, record: dict, verdicts) -> dict:
+    """Close a run record with its verdict; write summary.txt and report.csv.
+
+    ``record`` holds the summary entries in order; report.csv is the
+    ``_REPORT_KEYS`` subset of them.
+    """
+    record["verdict"] = all(v.passed for v in verdicts)
+    _write_csv(out_dir / "report.csv", _REPORT_KEYS,
+               [[record[key] for key in _REPORT_KEYS]])
+    _write_summary(out_dir / "summary.txt", record.items())
+    return record
+
+
+def _envelope_verdict(distances, envelope, slack: float, note: str = ""):
+    """Envelope domination above NOISE_FLOOR, and the smallest margin."""
+    resolved = distances > NOISE_FLOOR
+    margin = float((envelope[resolved] - distances[resolved]).min())
+    dominated = bool(np.all(distances[resolved]
+                            <= envelope[resolved] * (1.0 + slack)))
+    return Verdict("envelope_domination", dominated,
+                   f"min margin {margin:.3e}{note}"), margin
 
 
 def execute_ode(cfg: ScenarioConfig, out_dir: Path, full: bool):
@@ -152,13 +170,9 @@ def execute_ode(cfg: ScenarioConfig, out_dir: Path, full: bool):
                     * np.exp(-rate_theory * trajectory.times))
         # The bound is an exact equality whenever the rate polynomial is
         # linear, so the slack must absorb the integrator's own accuracy.
-        resolved = distances > NOISE_FLOOR
-        envelope_margin = float((envelope[resolved] - distances[resolved]).min())
-        dominated = bool(np.all(distances[resolved]
-                                <= envelope[resolved] * (1.0 + IDENTITY_TOL)))
-        verdicts.append(Verdict(
-            "envelope_domination", dominated,
-            f"min margin {envelope_margin:.3e}"))
+        verdict, envelope_margin = _envelope_verdict(distances, envelope,
+                                                     IDENTITY_TOL)
+        verdicts.append(verdict)
 
         residual = kinetics.exact_decay_residual(reduction, trajectory)
         verdicts.append(Verdict(
@@ -171,19 +185,12 @@ def execute_ode(cfg: ScenarioConfig, out_dir: Path, full: bool):
     if cfg.write_series:
         _write_csv(out_dir / "trajectory.csv", header, rows)
 
-    report = analysis.DecayReport(
-        scenario_id=cfg.scenario_id, rate_fit=rate_fit, fit_r2=r2,
-        rate_theory=rate_theory, envelope_margin=envelope_margin,
-        regime="well_mixed", verdict=all(v.passed for v in verdicts))
-    _write_csv(out_dir / "report.csv", _REPORT_HEADER, [_report_row(report)])
-    _write_summary(out_dir / "summary.txt", [
-        ("scenario_id", cfg.scenario_id), ("regime", "well_mixed"),
-        ("rate_theory", rate_theory), ("rate_fit", rate_fit),
-        ("fit_r2", r2), ("envelope_log_prefactor", log_prefactor),
-        ("envelope_margin", envelope_margin),
-        ("verdict", report.verdict),
-    ])
-    return verdicts, report
+    return verdicts, _write_report(out_dir, {
+        "scenario_id": cfg.scenario_id, "regime": "well_mixed",
+        "rate_theory": rate_theory, "rate_fit": rate_fit, "fit_r2": r2,
+        "envelope_log_prefactor": log_prefactor,
+        "envelope_margin": envelope_margin,
+    }, verdicts)
 
 
 def _rd_scenario(cfg: ScenarioConfig, network, diff, v0) -> rdsim.Scenario:
@@ -235,14 +242,10 @@ def _report_rd(scenario_id: str, result: rdsim.RunResult, out_dir: Path,
             gap_rate = 1.0 / (8.0 * inputs.gap_constant)
             rate_theory = min(inputs.total_mass, gap_rate)
             envelope = analysis.two_by_two_envelope(inputs, result.times)
-            resolved = result.distances > NOISE_FLOOR
-            envelope_margin = float((envelope[resolved]
-                                     - result.distances[resolved]).min())
-            dominated = bool(np.all(result.distances[resolved]
-                                    <= envelope[resolved] * (1.0 + ENVELOPE_SLACK)))
-            verdicts.append(Verdict(
-                "envelope_domination", dominated,
-                f"min margin {envelope_margin:.3e} (regime {regime})"))
+            verdict, envelope_margin = _envelope_verdict(
+                result.distances, envelope, ENVELOPE_SLACK,
+                f" (regime {regime})")
+            verdicts.append(verdict)
             rate_fit, r2 = analysis.fit_decay_rate(result.times,
                                                    result.distances[:, 0],
                                                    floor=1e-10)
@@ -275,21 +278,13 @@ def _report_rd(scenario_id: str, result: rdsim.RunResult, out_dir: Path,
                        ["x"] + [f"v_{i + 1}" for i in range(q)],
                        [(x, *field[:, j]) for j, x in enumerate(diff.cell_centers)])
 
-    report = analysis.DecayReport(
-        scenario_id=scenario_id, rate_fit=rate_fit, fit_r2=r2,
-        rate_theory=rate_theory, envelope_margin=envelope_margin,
-        regime=regime, verdict=all(v.passed for v in verdicts))
-    _write_csv(out_dir / "report.csv", _REPORT_HEADER, [_report_row(report)])
-    _write_summary(out_dir / "summary.txt", [
-        ("scenario_id", scenario_id), ("regime", regime),
-        ("rate_theory", rate_theory), ("rate_fit", rate_fit),
-        ("fit_r2", r2), ("envelope_margin", envelope_margin),
-        ("conservation_max", cons),
-        ("min_concentration", float(result.min_value.min())),
-        ("clamp_l1", float(result.clamp_l1[-1])),
-        ("verdict", report.verdict),
-    ])
-    return verdicts, report
+    return verdicts, _write_report(out_dir, {
+        "scenario_id": scenario_id, "regime": regime,
+        "rate_theory": rate_theory, "rate_fit": rate_fit, "fit_r2": r2,
+        "envelope_margin": envelope_margin, "conservation_max": cons,
+        "min_concentration": float(result.min_value.min()),
+        "clamp_l1": float(result.clamp_l1[-1]),
+    }, verdicts)
 
 
 def execute_gap(cfg: ScenarioConfig, out_dir: Path, seed: int,
@@ -375,23 +370,22 @@ def execute_sweep(cfg: ScenarioConfig, out_dir: Path):
                  for value in cfg.sweep_values]
     results = rdsim.run_batch(scenarios, snapshot_times=cfg.snapshot_times)
 
+    # A row is the scale's report.csv row, led by the scale instead of the
+    # scenario id.
+    columns = _REPORT_KEYS[1:]
     rows = []
     verdicts = []
     for value, result in zip(cfg.sweep_values, results):
-        sub_verdicts, report = _report_rd(
+        _, record = _report_rd(
             f"{cfg.scenario_id}_scale_{value:g}", result,
             out_dir / f"scale_{value:g}", full=True, check_rate=False,
             write_series=cfg.write_series)
-        ok = all(v.passed for v in sub_verdicts)
-        rows.append((value, report.regime, report.rate_theory, report.rate_fit,
-                     report.fit_r2, report.envelope_margin, ok))
+        rows.append([value] + [record[key] for key in columns])
         verdicts.append(Verdict(
-            f"scale_{value:g}", ok,
-            f"regime {report.regime}, rate_fit {report.rate_fit:.6g}, "
-            f"rate_theory {report.rate_theory:.6g}"))
-    _write_csv(out_dir / "sweep.csv",
-               ("mass_scale", "regime", "rate_theory", "rate_fit", "fit_r2",
-                "envelope_margin", "verdict"), rows)
+            f"scale_{value:g}", record["verdict"],
+            f"regime {record['regime']}, rate_fit {record['rate_fit']:.6g}, "
+            f"rate_theory {record['rate_theory']:.6g}"))
+    _write_csv(out_dir / "sweep.csv", ("mass_scale",) + columns, rows)
     return verdicts
 
 
@@ -409,12 +403,14 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=text)
         cmd.add_argument("config", help="path to the scenario config file")
         cmd.add_argument("--out", help="override the output directory")
-        cmd.add_argument("--seed", type=int, default=0,
-                         help="seed for randomized sweeps")
         cmd.add_argument("--quiet", action="store_true",
                          help="only print failing verdicts")
-        cmd.add_argument("--dump-generator", action="store_true",
-                         help="also write the generator matrix as CSV")
+        if name == "gap":
+            cmd.add_argument("--seed", type=int, default=0,
+                             help="seed of the fourth-moment sweep's random "
+                                  "functions")
+            cmd.add_argument("--dump-generator", action="store_true",
+                             help="also write the generator matrix as CSV")
     return parser
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .diffusion import DENSE_MAX_CELLS
 from .kinetics import step_count
-from .network import build_network, optimal_rate, steady_state
+from .network import NetworkError, build_network, optimal_rate, steady_state
 
 __all__ = [
     "Expression",
@@ -192,6 +192,16 @@ def _check_profile(reader, path: str, expr: Expression, points) -> None:
                       f"'{expr.text}' is not finite on the grid")
 
 
+def _network_paths(exc: NetworkError) -> list[str]:
+    """Config fields of the reaction rule that ``exc`` reports broken."""
+    if exc.side == "rates":
+        return [("network.l", "network.k")[i] for i in exc.indices]
+    key = "network.alpha" if exc.side == "reactants" else "network.beta"
+    if exc.code == "catalyzer-species":
+        return [f"{key}[{i}]" for i in exc.indices]
+    return [key]
+
+
 class _Reader:
     """Typed section/key access that records issues instead of raising."""
 
@@ -315,48 +325,31 @@ def parse_config(text: str) -> ScenarioConfig:
     needs_network = kind in ("ode", "rd", "sweep", None)
     needs_diffusion = kind in ("rd", "sweep", "spectral_gap", None)
 
-    reactants: tuple[int, ...] = ()
-    products: tuple[int, ...] = ()
+    alpha: tuple[float, ...] = ()
+    network = None
     rate_forward = rate_backward = 1.0
     if needs_network:
         if not parser.has_section("network"):
             reader.report("missing-field", "network", "section is required")
         else:
+            before = len(issues)
             if not parser.has_option("network", "alpha"):
                 reader.report("missing-field", "network.alpha", "required key is missing")
             if not parser.has_option("network", "beta"):
                 reader.report("missing-field", "network.beta", "required key is missing")
             alpha = reader.numbers("network", "alpha", ())
             beta = reader.numbers("network", "beta", ())
-            bad = [key for key, values in (("alpha", alpha), ("beta", beta))
-                   if any(not (v.is_integer() and 0 <= v < 2.0**63)
-                          for v in values)]
-            for key in bad:
-                reader.report("bad-value", f"network.{key}",
-                              "stoichiometry must be nonnegative integers "
-                              "below 2^63")
-            if not bad:
-                reactants = tuple(int(v) for v in alpha)
-                products = tuple(int(v) for v in beta)
-                if reactants and products:
-                    if len(reactants) != len(products):
-                        reader.report("bad-value", "network.beta",
-                                      "alpha and beta must have the same length")
-                    else:
-                        change = [p - r for r, p in zip(reactants, products)]
-                        for i, c in enumerate(change):
-                            if c == 0:
-                                reader.report(
-                                    "catalyzer-species", f"network.beta[{i}]",
-                                    "species must change across the reaction; "
-                                    "catalyzers are not supported")
-                        if change and not (any(c > 0 for c in change)
-                                           and any(c < 0 for c in change)):
-                            reader.report("no-sign-change", "network.beta",
-                                          "beta - alpha must take both signs "
-                                          "(mass conservation)")
+            # A list that is missing or does not parse is reported above.
+            listed = len(issues) == before
             rate_forward = reader.number("network", "l", default=1.0, positive=True)
             rate_backward = reader.number("network", "k", default=1.0, positive=True)
+            if listed:
+                try:
+                    network = build_network(alpha, beta, rate_forward,
+                                            rate_backward)
+                except NetworkError as exc:
+                    for path in _network_paths(exc):
+                        reader.report(exc.code, path, str(exc))
 
     n_cells = 200
     domain_length = 1.0
@@ -393,8 +386,8 @@ def parse_config(text: str) -> ScenarioConfig:
         reader.report("missing-field", "diffusion", "section is required")
 
     initial: tuple[str, ...] = ()
-    if needs_network and reactants:
-        q = len(reactants)
+    if needs_network and alpha:
+        q = len(alpha)
         if not parser.has_section("initial"):
             reader.report("missing-field", "initial", "section is required")
         else:
@@ -459,7 +452,7 @@ def parse_config(text: str) -> ScenarioConfig:
 
     if kind in ("rd", "sweep"):
         members = max(len(sweep_values), 1)
-        cell_steps = t_end / dt * len(reactants) * n_cells * members
+        cell_steps = t_end / dt * len(alpha) * n_cells * members
         if cell_steps > MAX_CELL_STEPS:
             reader.report("too-many-steps", "numerics.t_end",
                           f"t_end/dt x species x cells x members is "
@@ -471,8 +464,6 @@ def parse_config(text: str) -> ScenarioConfig:
         # samples (or RK45 steps), with the sharp rate of its steady state.
         # Data without a steady state are left for the run to report.
         v0 = [float(compile_expression(text)(0.0)) for text in initial]
-        network = build_network(reactants, products, rate_forward,
-                                rate_backward)
         try:
             with np.errstate(all="ignore"):
                 rate = optimal_rate(network, steady_state(network, v0))
@@ -489,7 +480,8 @@ def parse_config(text: str) -> ScenarioConfig:
 
     return ScenarioConfig(
         kind=kind, scenario_id=scenario_id,
-        reactants=reactants, products=products,
+        reactants=tuple(network.reactants.tolist()) if network else (),
+        products=tuple(network.products.tolist()) if network else (),
         rate_forward=rate_forward, rate_backward=rate_backward,
         n_cells=n_cells, domain_length=domain_length,
         potential=potential, diffusivity=diffusivity,

@@ -18,6 +18,7 @@ from functools import cached_property
 import numpy as np
 
 __all__ = [
+    "NetworkError",
     "ReactionNetwork",
     "SteadyState",
     "build_network",
@@ -30,20 +31,26 @@ __all__ = [
 ]
 
 
-def _as_stoichiometry(coeffs, name: str) -> np.ndarray:
-    arr = np.asarray(coeffs, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError(f"{name} must be a non-empty 1-D vector")
-    # Every comparison fails on NaN; inf and values from 2^63 up would wrap
-    # in the int64 cast.
-    if not np.all((arr >= 0) & (arr < 2.0**63) & (arr == np.round(arr))):
-        raise ValueError(f"{name} must contain nonnegative integers below 2^63")
-    return arr.astype(np.int64)
+class NetworkError(ValueError):
+    """A reaction that breaks one of the rules ``build_network`` checks.
+
+    ``code`` is the config issue code of the rule, ``side`` is
+    ``"reactants"``, ``"products"`` or ``"rates"``, and ``indices`` are the
+    offending species (for ``"rates"``: 0 the forward, 1 the backward rate).
+    """
+
+    def __init__(self, code: str, side: str, indices, message: str):
+        super().__init__(message)
+        self.code = code
+        self.side = side
+        self.indices = tuple(int(i) for i in indices)
 
 
 @dataclass(frozen=True)
 class ReactionNetwork:
     """Stoichiometry and normalized rates of one reversible reaction.
+
+    Build it with ``build_network``, which checks every rule.
 
     Attributes
     ----------
@@ -64,23 +71,6 @@ class ReactionNetwork:
     rate_backward: float
     scaling: np.ndarray
     species_rates: np.ndarray
-
-    def __post_init__(self):
-        change = self.products - self.reactants
-        if np.any(change == 0):
-            raise ValueError("every species must change across the reaction "
-                             "(catalyzer species are not supported)")
-        if not (np.any(change > 0) and np.any(change < 0)):
-            raise ValueError("mass conservation requires species on both "
-                             "sides: products - reactants must change sign")
-        if self.rate_forward <= 0 or self.rate_backward <= 0:
-            raise ValueError("rate constants must be positive")
-        if np.any(self.species_rates <= 0):
-            raise ValueError("normalized species rates must be positive")
-        ratio = float(np.prod(self.scaling ** (self.reactants - self.products)))
-        target = self.rate_backward / self.rate_forward
-        if abs(ratio - target) > 1e-12 * target:
-            raise ValueError("scaling factors do not reproduce the rate ratio")
 
     @property
     def n_species(self) -> int:
@@ -160,25 +150,14 @@ def normalize_rates(reactants, products, rate_forward: float,
 
     The ratio condition leaves the rescaling underdetermined; we fix all
     factors to 1 except the first, which solves the product condition on
-    its own (always possible because species 0 changes across the
-    reaction).
+    its own (possible because species 0 changes across the reaction).
+    Arithmetic only: ``build_network`` checks the inputs.
 
     Returns
     -------
     scaling, species_rates : float arrays, shape (q,)
     """
-    reactants = _as_stoichiometry(reactants, "reactants")
-    products = _as_stoichiometry(products, "products")
-    if reactants.shape != products.shape:
-        raise ValueError("reactants and products must have the same length")
-    if np.any(reactants == products):
-        raise ValueError("every species must change across the reaction "
-                         "(catalyzer species are not supported)")
-    if rate_forward <= 0 or rate_backward <= 0:
-        raise ValueError("rate constants must be positive")
-
-    q = reactants.size
-    scaling = np.ones(q)
+    scaling = np.ones(len(reactants))
     exponent = reactants[0] - products[0]
     scaling[0] = (rate_backward / rate_forward) ** (1.0 / exponent)
     species_rates = scaling * rate_forward / np.prod(scaling ** reactants)
@@ -187,17 +166,61 @@ def normalize_rates(reactants, products, rate_forward: float,
 
 def build_network(reactants, products, rate_forward: float = 1.0,
                   rate_backward: float = 1.0) -> ReactionNetwork:
-    """Validate stoichiometry and assemble a normalized network."""
+    """Check every rule of one reversible reaction and assemble the network.
+
+    The rules: nonnegative int64 coefficients, sides of equal length, no
+    catalyzer species, a drift of both signs, positive rates, positive
+    normalized species rates, and a scaling that reproduces the rate
+    ratio.  The first rule broken raises ``NetworkError``.
+    """
+    sides = []
+    for side, coeffs in (("reactants", reactants), ("products", products)):
+        arr = np.asarray(coeffs, dtype=float)
+        if arr.ndim != 1 or arr.size == 0:
+            raise NetworkError("bad-value", side, (),
+                               f"{side} must be a non-empty 1-D vector")
+        # Every comparison fails on NaN; inf and values from 2^63 up would
+        # wrap in the int64 cast.
+        bad = ~((arr >= 0) & (arr < 2.0**63) & (arr == np.round(arr)))
+        if np.any(bad):
+            raise NetworkError("bad-value", side, np.flatnonzero(bad),
+                               f"{side} must contain nonnegative integers "
+                               "below 2^63")
+        sides.append(arr.astype(np.int64))
+    reactants, products = sides
+    if reactants.shape != products.shape:
+        raise NetworkError("bad-value", "products", (),
+                           "reactants and products must have the same length")
+    change = products - reactants
+    if np.any(change == 0):
+        raise NetworkError("catalyzer-species", "products",
+                           np.flatnonzero(change == 0),
+                           "every species must change across the reaction "
+                           "(catalyzer species are not supported)")
+    if not (np.any(change > 0) and np.any(change < 0)):
+        raise NetworkError("no-sign-change", "products", (),
+                           "mass conservation requires species on both "
+                           "sides: products - reactants must change sign")
+    bad = [i for i, rate in enumerate((rate_forward, rate_backward))
+           if not rate > 0]
+    if bad:
+        raise NetworkError("bad-value", "rates", bad,
+                           "rate constants must be positive")
+    rate_forward, rate_backward = float(rate_forward), float(rate_backward)
     scaling, species_rates = normalize_rates(reactants, products,
                                              rate_forward, rate_backward)
-    return ReactionNetwork(
-        reactants=_as_stoichiometry(reactants, "reactants"),
-        products=_as_stoichiometry(products, "products"),
-        rate_forward=float(rate_forward),
-        rate_backward=float(rate_backward),
-        scaling=scaling,
-        species_rates=species_rates,
-    )
+    if not np.all(species_rates > 0):
+        raise NetworkError("bad-value", "rates", (0, 1),
+                           "normalized species rates must be positive")
+    ratio = float(np.prod(scaling ** -change))
+    target = rate_backward / rate_forward
+    if not abs(ratio - target) <= 1e-12 * target:
+        raise NetworkError("bad-value", "rates", (0, 1),
+                           "scaling factors do not reproduce the rate ratio")
+    return ReactionNetwork(reactants=reactants, products=products,
+                           rate_forward=rate_forward,
+                           rate_backward=rate_backward,
+                           scaling=scaling, species_rates=species_rates)
 
 
 def conservation_basis(network: ReactionNetwork) -> np.ndarray:

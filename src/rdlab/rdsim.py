@@ -39,7 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .diffusion import DiscreteDiffusion, semigroup_apply, moment4
+from .diffusion import DiscreteDiffusion, semigroup_apply
 from .network import (ReactionNetwork, SteadyState, conservation_basis,
                       is_two_by_two, steady_state)
 
@@ -276,7 +276,6 @@ class RunResult:
     min_value: np.ndarray        # (m,)
     clamp_l1: np.ndarray         # (m,) cumulative
     bound_margin: np.ndarray     # (m,) min over species/cells of bound - value
-    quartic_moment: float        # sqrt of 4th moment of the summed initial data
     steady: SteadyState
     snapshots: list = field(default_factory=list)  # [(t, (species, cells))]
 
@@ -381,8 +380,6 @@ class _Recorder:
             min_value=minv,
             clamp_l1=clamp,
             bound_margin=margin,
-            quartic_moment=float(np.sqrt(moment4(scenario.diffusion,
-                                                 scenario.v0.sum(axis=0)))),
             steady=scenario.steady,
             snapshots=self.snapshots,
         )

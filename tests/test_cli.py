@@ -204,6 +204,54 @@ class TestVerify:
         assert not (tmp_path / "out").exists()
 
 
+REPORT_KEYS = ["scenario_id", "regime", "rate_theory", "rate_fit", "fit_r2",
+               "envelope_margin", "verdict"]
+
+
+def _summary(path: Path):
+    return [line.split(": ", 1) for line in path.read_text().splitlines()]
+
+
+class TestOutputFormat:
+    # report.csv repeats a subset of summary.txt, in the summary's order,
+    # and a sweep.csv row is the scale's report.csv row led by the scale.
+    @pytest.mark.parametrize("text, keys", [
+        (ODE_CFG, ["scenario_id", "regime", "rate_theory", "rate_fit",
+                   "fit_r2", "envelope_log_prefactor", "envelope_margin",
+                   "verdict"]),
+        (RD_QUICK_CFG, ["scenario_id", "regime", "rate_theory", "rate_fit",
+                        "fit_r2", "envelope_margin", "conservation_max",
+                        "min_concentration", "clamp_l1", "verdict"]),
+    ], ids=["ode", "rd"])
+    def test_report_is_the_summary_subset(self, tmp_path, text, keys):
+        cfg = _write(tmp_path, "scenario.cfg", text)
+        out = tmp_path / "out"
+        assert main(["verify", cfg, "--out", str(out), "--quiet"]) == 0
+        entries = _summary(out / "summary.txt")
+        assert [key for key, _ in entries] == keys
+        header, row = _rows(out / "report.csv")
+        assert header == REPORT_KEYS
+        # The summary prints booleans as Python does, the CSV in lower case.
+        values = {key: {"True": "true", "False": "false"}.get(value, value)
+                  for key, value in entries}
+        assert row == [values[key] for key in header]
+
+    def test_sweep_rows_are_report_rows(self, tmp_path):
+        cfg = _write(tmp_path, "sweep.cfg", SWEEP_CFG)
+        out = tmp_path / "out"
+        assert main(["sweep", cfg, "--out", str(out), "--quiet"]) == 0
+        header, *rows = _rows(out / "sweep.csv")
+        assert header == ["mass_scale"] + REPORT_KEYS[1:]
+        assert [row[0] for row in rows] == ["0.5", "2.0"]
+        for row in rows:
+            scale = f"{float(row[0]):g}"
+            report_header, report_row = _rows(out / f"scale_{scale}"
+                                              / "report.csv")
+            assert report_header == REPORT_KEYS
+            assert report_row[0] == f"sweep_quick_scale_{scale}"
+            assert row[1:] == report_row[1:]
+
+
 class TestEqualRatesBranch:
     def test_mass_tuned_to_gap_rate(self, tmp_path):
         # Constant means tuned so the total mass equals the gap rate of the
@@ -252,6 +300,17 @@ class TestErrorPaths:
         assert main(["verify", cfg]) == 2
         err = capsys.readouterr().err
         assert "catalyzer-species" in err
+
+    @pytest.mark.parametrize("flag", [["--seed", "1"], ["--dump-generator"]])
+    @pytest.mark.parametrize("command", ["run", "verify", "sweep"])
+    def test_gap_flags_rejected_elsewhere(self, tmp_path, capsys, command,
+                                          flag):
+        # Only gap draws random functions and builds a generator to dump.
+        cfg = _write(tmp_path, "rd.cfg", RD_QUICK_CFG)
+        with pytest.raises(SystemExit) as exc:
+            main([command, cfg, *flag])
+        assert exc.value.code == 2
+        assert flag[0] in capsys.readouterr().err
 
     def test_kind_command_mismatch(self, tmp_path, capsys):
         cfg = _write(tmp_path, "gap.cfg", GAP_CFG)

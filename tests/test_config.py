@@ -6,6 +6,7 @@ import pytest
 from rdlab import config, kinetics
 from rdlab.config import (ConfigError, ExpressionError, compile_expression,
                           parse_config, serialize_config)
+from rdlab.network import NetworkError, build_network
 
 MINIMAL_ODE = """
 [scenario]
@@ -71,6 +72,59 @@ class TestExpressions:
     def test_rejects_unknown_syntax(self, bad):
         with pytest.raises(ExpressionError):
             compile_expression(bad)
+
+
+# One invalid reaction per network rule: alpha, beta, (l, k), then the
+# error build_network raises (code, side, indices) and the issue paths
+# parse_config reports for the same reaction.
+NETWORK_RULES = {
+    "catalyzer": ("1 1 0 0", "0 1 1 1", (1.0, 1.0),
+                  "catalyzer-species", "products", (1,), ["network.beta[1]"]),
+    "one_sided": ("1 1 1 1", "2 3 2 2", (1.0, 1.0),
+                  "no-sign-change", "products", (), ["network.beta"]),
+    "huge_coefficient": ("1e20 1 0 0", "0 0 1 1", (1.0, 1.0),
+                         "bad-value", "reactants", (0,), ["network.alpha"]),
+    "infinite_coefficient": ("1 1 0 0", "0 0 inf 1", (1.0, 1.0),
+                             "bad-value", "products", (2,), ["network.beta"]),
+    "fractional_coefficient": ("0.5 1 0 0", "0 0 1 1", (1.0, 1.0),
+                               "bad-value", "reactants", (0,),
+                               ["network.alpha"]),
+    "length_mismatch": ("1 1 0 0", "0 0 1", (1.0, 1.0),
+                        "bad-value", "products", (), ["network.beta"]),
+    "zero_forward_rate": ("1 1 0 0", "0 0 1 1", (0.0, 1.0),
+                          "bad-value", "rates", (0,), ["network.l"]),
+    "negative_backward_rate": ("1 1 0 0", "0 0 1 1", (1.0, -2.0),
+                               "bad-value", "rates", (1,), ["network.k"]),
+}
+
+
+class TestNetworkRules:
+    @pytest.mark.parametrize("name", NETWORK_RULES)
+    def test_build_network_and_parse_config_agree(self, name):
+        alpha, beta, rates, code, side, indices, paths = NETWORK_RULES[name]
+        with pytest.raises(NetworkError) as err:
+            build_network([float(v) for v in alpha.split()],
+                          [float(v) for v in beta.split()], *rates)
+        assert (err.value.code, err.value.side, err.value.indices) \
+            == (code, side, indices)
+        text = MINIMAL_RD.replace("alpha = 1 1 0 0", f"alpha = {alpha}") \
+            .replace("beta = 0 0 1 1",
+                     f"beta = {beta}\nl = {rates[0]!r}\nk = {rates[1]!r}")
+        with pytest.raises(ConfigError) as issues:
+            parse_config(text)
+        assert [(i.code, i.path) for i in issues.value.issues] \
+            == [(code, path) for path in paths]
+
+    def test_ode_config_builds_its_network_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return build_network(*args)
+
+        monkeypatch.setattr(config, "build_network", counted)
+        assert parse_config(MINIMAL_ODE).kind == "ode"
+        assert len(calls) == 1
 
 
 class TestParseConfig:

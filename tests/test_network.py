@@ -30,14 +30,15 @@ class TestNormalizeRates:
         ratio = np.prod(scaling ** (np.array([1, 1, 0, 0]) - np.array([0, 0, 1, 1])))
         assert abs(ratio - 4.0) <= 1e-12 * 4.0
 
+    # normalize_rates is arithmetic only: build_network checks every rule.
     def test_rejects_catalyzer(self):
         with pytest.raises(ValueError, match="catalyzer"):
-            normalize_rates([1, 2, 0], [0, 2, 1], 1.0, 1.0)
+            build_network([1, 2, 0], [0, 2, 1], 1.0, 1.0)
 
     @pytest.mark.parametrize("forward,backward", [(0.0, 1.0), (1.0, -2.0)])
     def test_rejects_nonpositive_rates(self, forward, backward):
         with pytest.raises(ValueError, match="positive"):
-            normalize_rates([1, 0], [0, 1], forward, backward)
+            build_network([1, 0], [0, 1], forward, backward)
 
     @pytest.mark.parametrize("coefficient", [1e20, 2.0**63, np.inf, np.nan,
                                              -1.0, 0.5])
