@@ -18,8 +18,7 @@ import numpy as np
 from . import analysis, diffusion, kinetics, rdsim
 from .config import (ConfigError, ScenarioConfig, compile_expression,
                      parse_config)
-from .network import (build_network, conservation_basis, is_two_by_two,
-                      optimal_rate, steady_state)
+from .network import build_network, conservation_basis, is_two_by_two
 
 # Tolerances of the standing verdicts, shared by verify and sweep.
 CONSERVATION_TOL = 1e-8
@@ -90,11 +89,8 @@ def _build_operators(cfg: ScenarioConfig):
 
 
 def _initial_fields(cfg: ScenarioConfig, diff) -> np.ndarray:
-    v0 = np.array([compile_expression(text)(diff.cell_centers)
-                   for text in cfg.initial])
-    if np.any(v0 < 0):
-        raise ValueError("initial profiles must be nonnegative on the domain")
-    return v0
+    return np.array([compile_expression(text)(diff.cell_centers)
+                     for text in cfg.initial])
 
 
 # The summary entries that report.csv repeats, in the summary's order.
@@ -130,16 +126,12 @@ def execute_ode(cfg: ScenarioConfig, out_dir: Path, full: bool):
     network = build_network(cfg.reactants, cfg.products,
                             cfg.rate_forward, cfg.rate_backward)
     v0 = np.array([float(compile_expression(t)(0.0)) for t in cfg.initial])
-    if np.any(v0 <= 0):
-        raise ValueError("well-mixed initial data must be strictly positive")
-
-    steady = steady_state(network, v0)
-    rate_theory = optimal_rate(network, steady)
     if network.riccati_coefficients is None:
         trajectory = kinetics.integrate_reaction(network, v0, cfg.t_end, cfg.tol)
     else:
         trajectory = kinetics.exact_trajectory(network, v0, cfg.t_end)
     reduction = trajectory.reduction
+    steady, rate_theory = reduction.steady, reduction.rate
 
     distances = np.abs(trajectory.pivot_series - steady.concentrations[trajectory.pivot])
     verdicts = [Verdict(

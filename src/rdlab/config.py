@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diffusion import DENSE_MAX_CELLS
-from .kinetics import step_count
-from .network import NetworkError, build_network, optimal_rate, steady_state
+from .kinetics import pivot_reduction, step_count
+from .network import NetworkError, build_network
 
 __all__ = [
     "Expression",
@@ -461,12 +461,12 @@ def parse_config(text: str) -> ScenarioConfig:
 
     if kind == "ode" and not issues:
         # A well-mixed run takes t_end x rate / kinetics.SAMPLE_SPACING
-        # samples (or RK45 steps), with the sharp rate of its steady state.
+        # samples (or RK45 steps), with the run's own pivot_reduction rate.
         # Data without a steady state are left for the run to report.
         v0 = [float(compile_expression(text)(0.0)) for text in initial]
         try:
             with np.errstate(all="ignore"):
-                rate = optimal_rate(network, steady_state(network, v0))
+                rate = pivot_reduction(network, v0).rate
         except (ValueError, RuntimeError):
             rate = math.nan
         if not math.isnan(rate):

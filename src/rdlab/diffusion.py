@@ -183,8 +183,6 @@ class DiscreteDiffusion:
     n_cells: int
     domain_length: float
     cell_centers: np.ndarray
-    potential: np.ndarray
-    face_diffusivity: np.ndarray
     upper: np.ndarray
     lower: np.ndarray
     weights: np.ndarray
@@ -304,8 +302,6 @@ def build_generator(n: int, domain_length: float = 1.0, potential=None,
         n_cells=n,
         domain_length=float(domain_length),
         cell_centers=centers,
-        potential=psi_centers,
-        face_diffusivity=a_faces,
         upper=upper,
         lower=lower,
         weights=weights,

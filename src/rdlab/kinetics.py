@@ -1,4 +1,10 @@
-"""Well-mixed kinetics: scalar reduction, trajectories, and decay envelopes.
+"""Reaction kinetics: the reaction flows, scalar reduction, trajectories
+and decay envelopes.
+
+``reaction_flow``, the reaction substep of ``rdsim``, is the exact Riccati
+flow when both sides of the reaction have total order at most 2, and an RK4
+step of ``clamped_mass_action`` otherwise.  The sharp rate is
+``ScalarReduction.rate``: ``optimal_rate`` of the reduction's steady state.
 
 Because all conserved combinations are frozen without diffusion, the full
 q-species system collapses onto a single pivot species; every other
@@ -10,11 +16,11 @@ verification.
 
 A trajectory is sampled at uniform times about ``SAMPLE_SPACING / rate``
 apart.  When both sides of the reaction have total order at most 2, the
-pivot follows the exact Riccati flow of ``rdsim``, evaluated at every sample
-time in one vectorised call (``exact_trajectory``); no ODE solver runs.
-Higher orders integrate the pivot equation with RK45, its step capped at the
-same spacing (``integrate_reaction``).  Either way a run may take at most
-``MAX_STEPS`` samples or steps.
+pivot follows the exact Riccati flow, evaluated at every sample time in one
+vectorised call (``exact_trajectory``); no ODE solver runs.  Higher orders
+integrate the pivot equation with RK45, its step capped at the same spacing
+(``integrate_reaction``).  Either way a run may take at most ``MAX_STEPS``
+samples or steps.
 """
 
 from __future__ import annotations
@@ -25,10 +31,12 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .analysis import fit_decay_rate
-from .network import ReactionNetwork, SteadyState, steady_state
-from .rdsim import _riccati_flow
+from .network import (ReactionNetwork, SteadyState, optimal_rate,
+                      steady_state)
 
 __all__ = [
+    "clamped_mass_action",
+    "reaction_flow",
     "ScalarReduction",
     "Trajectory",
     "StiffnessError",
@@ -48,10 +56,109 @@ SAMPLE_SPACING = 0.08
 # Most samples or RK45 steps a well-mixed run may take: about 250 times the
 # 401 samples of the shipped self_ionization_ode config.
 MAX_STEPS = 10**5
+_TINY = np.finfo(float).tiny
 
 
 class StiffnessError(RuntimeError):
     """The adaptive integrator underflowed its step size."""
+
+
+def _monomial(vp: np.ndarray, terms) -> np.ndarray:
+    (i, e), *rest = terms
+    value = vp[i] if e == 1 else vp[i] ** e
+    for i, e in rest:
+        value = value * (vp[i] if e == 1 else vp[i] ** e)
+    return value
+
+
+def clamped_mass_action(network: ReactionNetwork, v: np.ndarray) -> np.ndarray:
+    """Net mass-action rate with monomials evaluated on positive parts.
+
+    Loops over the network's nonzero exponents only (``monomial_terms``).
+    """
+    vp = np.maximum(v, 0.0)
+    forward_terms, backward_terms = network.monomial_terms
+    return _monomial(vp, forward_terms) - _monomial(vp, backward_terms)
+
+
+def _rk4(network: ReactionNetwork, v: np.ndarray, dt: float) -> np.ndarray:
+    """Classical RK4 step of the clamped kinetics.
+
+    The kinetics moves every species along the drift ``w``, so each stage
+    is ``w`` times one scalar rate field.
+    """
+    w = network.signed_rates[:, None]
+    half = (0.5 * dt) * w
+    m1 = clamped_mass_action(network, v)
+    m2 = clamped_mass_action(network, v + half * m1)
+    m3 = clamped_mass_action(network, v + half * m2)
+    m4 = clamped_mass_action(network, v + (dt * w) * m3)
+    return v + ((dt / 6.0) * w) * (m1 + 2.0 * m2 + 2.0 * m3 + m4)
+
+
+def _riccati_flow(network: ReactionNetwork, v: np.ndarray,
+                  dt: float | np.ndarray) -> np.ndarray:
+    """Exact flow of the kinetics of a network of order at most 2.
+
+    Each cell moves along the drift, ``v + w s``, and its extent solves
+    ``ds/dt = A s^2 + B s + C`` from ``s(0) = 0``, with ``C`` the clamped
+    rate and ``B = beta @ max(v, 0) + beta0`` (``riccati_coefficients``):
+    ``s = 2C(1 - E) / ((delta - B) + (delta + B) E)``, where
+    ``delta = sqrt(B^2 - 4AC)`` and ``E = exp(-delta dt)``.  It never
+    divides by ``A``.  ``delta^2`` is clipped at the smallest normal float
+    against cancellation: in a cell where every species is 0, ``B = C =
+    0``, and the clip turns 0/0 into the ``delta -> 0`` limit.  Every
+    operation is elementwise per cell, so ``dt`` may also be an array with
+    one step per column (``exact_trajectory`` flows one initial state to
+    every sample time at once).
+    """
+    quadratic, beta, beta0 = network.riccati_coefficients
+    c = clamped_mass_action(network, v)
+    b = (beta[:, None] * np.maximum(v, 0.0)).sum(axis=0)
+    if beta0:
+        b += beta0
+    disc = b * b
+    if quadratic:
+        disc -= (4.0 * quadratic) * c
+    delta = np.sqrt(np.maximum(disc, _TINY, out=disc), out=disc)
+    m = np.expm1(delta * -dt)        # E - 1
+    plus = delta + b
+    if network.autocatalytic:
+        # A species on both sides lets B turn positive.  There delta - B
+        # cancels, so take it as -4AC / (delta + B), and E from exp, kept
+        # above 0 so that a cell resting on an unstable equilibrium, C = 0,
+        # keeps s = 0 however long the step.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            minus = np.where(b > 0.0, (-4.0 * quadratic) * c / plus, delta - b)
+        e = np.maximum(np.exp(delta * -dt), _TINY)
+        half = 0.5 * (minus + plus * e)
+    else:
+        # Here B <= 0, and the halved denominator delta + (delta + B) m / 2
+        # stays at least (delta - B) / 2 for any step.
+        half = plus
+        half *= 0.5 * m
+        half += delta
+    extent = c * m
+    extent /= half                   # -s
+    # Species 0's rounded increment moves every species, so each conserved
+    # combination (species 0 paired with species j) takes one rounding.
+    w = network.signed_rates
+    moved = v[0] - w[0] * extent
+    moved -= v[0]
+    out = (w / w[0])[:, None] * moved
+    out += v
+    return out
+
+
+def reaction_flow(network: ReactionNetwork, v: np.ndarray,
+                  dt: float) -> np.ndarray:
+    """One reaction step of every cell: the exact flow for order <= 2, else RK4.
+
+    The caller clamps any undershoot below 0.
+    """
+    if network.riccati_coefficients is None:
+        return _rk4(network, v, dt)
+    return _riccati_flow(network, v, dt)
 
 
 @dataclass(frozen=True)
@@ -70,7 +177,7 @@ class ScalarReduction:
         ``dv_pivot/dt = F(v_pivot)``.
     fixed_point : float
         The unique root of F inside ``(0, upper_bound)``; the pivot's
-        steady value.
+        steady value, ``steady.concentrations[pivot]``.
     upper_bound : float
         Least upper bound of the pivot trajectory (``inf`` if no species
         shrinks across the reaction).
@@ -78,6 +185,10 @@ class ScalarReduction:
         Ascending coefficients of Q, where ``F(X) = (X - fixed_point) Q(X)``;
         Q is strictly negative on the physical window and
         ``Q(fixed_point) = F'(fixed_point)`` is minus the sharp decay rate.
+    steady : SteadyState
+        The steady state of ``v0``'s conserved means.
+    rate : float
+        The sharp decay rate, ``optimal_rate(network, steady)``.
     """
 
     pivot: int
@@ -87,6 +198,8 @@ class ScalarReduction:
     fixed_point: float
     upper_bound: float
     cofactor_coeffs: np.ndarray
+    steady: SteadyState
+    rate: float
 
 
 @dataclass(frozen=True)
@@ -103,19 +216,6 @@ class Trajectory:
         return self.states[:, self.pivot]
 
 
-def _rate_factory(network: ReactionNetwork, slopes, offsets, pivot):
-    """Scalar rate function in factored (product) form; stable near 0."""
-    reactants = network.reactants
-    products = network.products
-    lead = network.signed_rates[pivot]
-
-    def rate(x: float) -> float:
-        v = slopes * x + offsets
-        return lead * (np.prod(v ** reactants) - np.prod(v ** products))
-
-    return rate
-
-
 def pivot_reduction(network: ReactionNetwork, v0) -> ScalarReduction:
     """Reduce the system to the pivot species for initial data ``v0``."""
     v0 = np.asarray(v0, dtype=float)
@@ -123,6 +223,7 @@ def pivot_reduction(network: ReactionNetwork, v0) -> ScalarReduction:
         raise ValueError("v0 must have one entry per species")
     if np.any(v0 <= 0):
         raise ValueError("initial concentrations must be strictly positive")
+    steady = steady_state(network, v0)
 
     w = network.signed_rates
     pos = np.flatnonzero(w > 0)
@@ -158,7 +259,7 @@ def pivot_reduction(network: ReactionNetwork, v0) -> ScalarReduction:
         opposite = v0[pos] / w[pos]
         upper = v0[pivot] - w[pivot] * float(np.min(opposite)) if pos.size else np.inf
 
-    root = float(steady_state(network, v0).concentrations[pivot])
+    root = float(steady.concentrations[pivot])
     cofactor = _divide_out_root(rhs, root)
 
     return ScalarReduction(
@@ -169,6 +270,8 @@ def pivot_reduction(network: ReactionNetwork, v0) -> ScalarReduction:
         fixed_point=root,
         upper_bound=upper,
         cofactor_coeffs=cofactor,
+        steady=steady,
+        rate=optimal_rate(network, steady),
     )
 
 
@@ -180,12 +283,6 @@ def _divide_out_root(coeffs: np.ndarray, root: float) -> np.ndarray:
     for k in range(n - 2, 0, -1):
         quotient[k - 1] = coeffs[k] + root * quotient[k]
     return quotient
-
-
-def _decay_rate(reduction: ScalarReduction) -> float:
-    """Sharp decay rate ``-Q(fixed_point)`` of the pivot."""
-    return float(-npoly.polyval(reduction.fixed_point,
-                                reduction.cofactor_coeffs))
 
 
 def _within_budget(steps: float) -> float:
@@ -216,9 +313,8 @@ def exact_trajectory(network: ReactionNetwork, v0, t_end: float) -> Trajectory:
     """Sample the exact well-mixed flow of a network of order at most 2.
 
     The times are uniform from 0 to ``t_end``, in ``step_count`` equal steps.
-    Every sample is the Riccati flow of ``rdsim`` taken from ``v0`` over its
-    own time, one column per sample, so no error accumulates along the
-    trajectory.
+    Every sample is the Riccati flow taken from ``v0`` over its own time,
+    one column per sample, so no error accumulates along the trajectory.
     """
     if network.riccati_coefficients is None:
         raise ValueError("the exact flow needs both sides of order <= 2")
@@ -226,7 +322,7 @@ def exact_trajectory(network: ReactionNetwork, v0, t_end: float) -> Trajectory:
         raise ValueError("t_end must be positive")
     reduction = pivot_reduction(network, v0)
     times = np.linspace(0.0, t_end,
-                        step_count(_decay_rate(reduction), t_end) + 1)
+                        step_count(reduction.rate, t_end) + 1)
     columns = np.repeat(np.asarray(v0, dtype=float)[:, None], times.size,
                         axis=1)
     flow = _riccati_flow(network, columns, times)
@@ -251,16 +347,20 @@ def integrate_reaction(network: ReactionNetwork, v0, t_end: float,
     if t_end <= 0:
         raise ValueError("t_end must be positive")
     reduction = pivot_reduction(network, v0)
-    rate = _rate_factory(network, reduction.slopes, reduction.offsets,
-                         reduction.pivot)
+    lead = network.signed_rates[reduction.pivot]
+    slopes, offsets = reduction.slopes, reduction.offsets
+
+    def pivot_rate(t, y):
+        return [lead * clamped_mass_action(network, slopes * y[0] + offsets)]
+
     # Cap the step well below the decay scale: in the tail the controller
     # would otherwise grow the step until the per-step decay factor loses
     # relative accuracy, biasing fitted rates and the closed-form check.
     if max_step is None:
-        max_step = min(t_end, SAMPLE_SPACING / max(_decay_rate(reduction), 1e-12))
+        max_step = min(t_end, SAMPLE_SPACING / max(reduction.rate, 1e-12))
     _within_budget(t_end / max_step)
 
-    sol = solve_ivp(lambda t, y: [rate(y[0])], (0.0, t_end),
+    sol = solve_ivp(pivot_rate, (0.0, t_end),
                     [float(np.asarray(v0, dtype=float)[reduction.pivot])],
                     method="RK45", rtol=tol, atol=tol,
                     max_step=max_step, t_eval=t_eval)

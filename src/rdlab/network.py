@@ -159,8 +159,10 @@ def normalize_rates(reactants, products, rate_forward: float,
     """
     scaling = np.ones(len(reactants))
     exponent = reactants[0] - products[0]
-    scaling[0] = (rate_backward / rate_forward) ** (1.0 / exponent)
-    species_rates = scaling * rate_forward / np.prod(scaling ** reactants)
+    # An overflowing ratio gives inf / inf, which build_network rejects.
+    with np.errstate(all="ignore"):
+        scaling[0] = (rate_backward / rate_forward) ** (1.0 / exponent)
+        species_rates = scaling * rate_forward / np.prod(scaling ** reactants)
     return scaling, species_rates
 
 

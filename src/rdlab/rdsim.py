@@ -2,16 +2,12 @@
 
 Each time step is a half step of exact diffusion (through the grid's modal
 basis), a reaction substep, and another half step of diffusion.  The
-kinetics moves every cell along the drift ``w``, ``v + w s``, with one
-scalar extent ``s`` per cell.  When both sides of the reaction have total
-order at most 2, the rate along the drift is a quadratic in ``s``, and the
-substep is its exact Riccati flow: one mass-action evaluation per step, and
-in exact arithmetic it never leaves the nonnegative orthant.  Higher orders
-take a classical RK4 step of the clamped kinetics, which evaluates the
-mass-action monomials on positive parts.  Either way any undershoot left
-after the substep (roundoff, a negative value that came in with the state,
-or an RK4 step past its stability limit) is zeroed and accounted in
-``clamp_l1``.
+reaction substep is ``kinetics.reaction_flow`` in every cell: the exact
+Riccati flow along the drift when both sides of the reaction have total
+order at most 2, a classical RK4 step of the clamped kinetics otherwise.
+Any undershoot left after it (roundoff, a negative value that came in with
+the state, or an RK4 step past its stability limit) is zeroed here and
+accounted in ``clamp_l1``.
 
 ``step`` performs one such step.  ``run_batch`` merges the half steps: the
 closing half step of one step and the opening half step of the next compose
@@ -40,6 +36,8 @@ from functools import cached_property
 import numpy as np
 
 from .diffusion import DiscreteDiffusion, semigroup_apply
+# Unused here: tests and perfbench/tracing.py read rdsim.clamped_mass_action.
+from .kinetics import clamped_mass_action, reaction_flow
 from .network import (ReactionNetwork, SteadyState, conservation_basis,
                       is_two_by_two, steady_state)
 
@@ -58,7 +56,6 @@ __all__ = [
 # Any concentration beyond this is a divergence: the a priori bounds keep
 # honest solutions within a few multiples of the initial data.
 _BLOWUP_LIMIT = 1e6
-_TINY = np.finfo(float).tiny
 
 
 class BlowUpError(RuntimeError):
@@ -122,109 +119,19 @@ class Scenario:
         return FieldState(t=0.0, v=self.v0.copy(), clamp_l1=0.0)
 
 
-def _monomial(vp: np.ndarray, terms) -> np.ndarray:
-    (i, e), *rest = terms
-    value = vp[i] if e == 1 else vp[i] ** e
-    for i, e in rest:
-        value = value * (vp[i] if e == 1 else vp[i] ** e)
-    return value
-
-
-def clamped_mass_action(network: ReactionNetwork, v: np.ndarray) -> np.ndarray:
-    """Net mass-action rate with monomials evaluated on positive parts.
-
-    Loops over the network's nonzero exponents only (``monomial_terms``).
-    """
-    vp = np.maximum(v, 0.0)
-    forward_terms, backward_terms = network.monomial_terms
-    return _monomial(vp, forward_terms) - _monomial(vp, backward_terms)
-
-
-def _rk4(network: ReactionNetwork, v: np.ndarray, dt: float) -> np.ndarray:
-    """Classical RK4 step of the clamped kinetics.
-
-    The kinetics moves every species along the drift ``w``, so each stage
-    is ``w`` times one scalar rate field.
-    """
-    w = network.signed_rates[:, None]
-    half = (0.5 * dt) * w
-    m1 = clamped_mass_action(network, v)
-    m2 = clamped_mass_action(network, v + half * m1)
-    m3 = clamped_mass_action(network, v + half * m2)
-    m4 = clamped_mass_action(network, v + (dt * w) * m3)
-    return v + ((dt / 6.0) * w) * (m1 + 2.0 * m2 + 2.0 * m3 + m4)
-
-
-def _riccati_flow(network: ReactionNetwork, v: np.ndarray,
-                  dt: float | np.ndarray) -> np.ndarray:
-    """Exact flow of the kinetics of a network of order at most 2.
-
-    Each cell moves along the drift, ``v + w s``, and its extent solves
-    ``ds/dt = A s^2 + B s + C`` from ``s(0) = 0``, with ``C`` the clamped
-    rate and ``B = beta @ max(v, 0) + beta0`` (``riccati_coefficients``):
-    ``s = 2C(1 - E) / ((delta - B) + (delta + B) E)``, where
-    ``delta = sqrt(B^2 - 4AC)`` and ``E = exp(-delta dt)``.  It never
-    divides by ``A``.  ``delta^2`` is clipped at the smallest normal float
-    against cancellation: in a cell where every species is 0, ``B = C =
-    0``, and the clip turns 0/0 into the ``delta -> 0`` limit.  Every
-    operation is elementwise per cell, so ``dt`` may also be an array with
-    one step per column (``kinetics.exact_trajectory`` flows one initial
-    state to every sample time at once).
-    """
-    quadratic, beta, beta0 = network.riccati_coefficients
-    c = clamped_mass_action(network, v)
-    b = (beta[:, None] * np.maximum(v, 0.0)).sum(axis=0)
-    if beta0:
-        b += beta0
-    disc = b * b
-    if quadratic:
-        disc -= (4.0 * quadratic) * c
-    delta = np.sqrt(np.maximum(disc, _TINY, out=disc), out=disc)
-    m = np.expm1(delta * -dt)        # E - 1
-    plus = delta + b
-    if network.autocatalytic:
-        # A species on both sides lets B turn positive.  There delta - B
-        # cancels, so take it as -4AC / (delta + B), and E from exp, kept
-        # above 0 so that a cell resting on an unstable equilibrium, C = 0,
-        # keeps s = 0 however long the step.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            minus = np.where(b > 0.0, (-4.0 * quadratic) * c / plus, delta - b)
-        e = np.maximum(np.exp(delta * -dt), _TINY)
-        half = 0.5 * (minus + plus * e)
-    else:
-        # Here B <= 0, and the halved denominator delta + (delta + B) m / 2
-        # stays at least (delta - B) / 2 for any step.
-        half = plus
-        half *= 0.5 * m
-        half += delta
-    extent = c * m
-    extent /= half                   # -s
-    # Species 0's rounded increment moves every species, so each conserved
-    # combination (species 0 paired with species j) takes one rounding.
-    w = network.signed_rates
-    moved = v[0] - w[0] * extent
-    moved -= v[0]
-    out = (w / w[0])[:, None] * moved
-    out += v
-    return out
-
-
 def _reaction_substep(network: ReactionNetwork, v: np.ndarray, dt: float,
                       weights: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """Reaction step of the kinetics, then zero any undershoot.
 
     ``v`` holds one or more members side by side, ``(species, members *
-    cells)``.  Networks of order at most 2 take the exact flow from the
-    clamped state, others an RK4 step of the clamped kinetics.  Either way
-    the step adds its increment to the incoming ``v``, so a negative value
+    cells)``.  The step is ``kinetics.reaction_flow``: the exact flow for
+    order at most 2, an RK4 step of the clamped kinetics otherwise.  Either
+    way it adds its increment to the incoming ``v``, so a negative value
     that comes in is zeroed and accounted here with any outgoing
     undershoot.  Returns the new fields and the weighted mass the clamp
     removed from each member, or ``None`` when no value went negative.
     """
-    if network.riccati_coefficients is None:
-        v = _rk4(network, v, dt)
-    else:
-        v = _riccati_flow(network, v, dt)
+    v = reaction_flow(network, v, dt)
     if not v.min() < 0.0:
         return v, None
     n = weights.size
@@ -276,7 +183,6 @@ class RunResult:
     min_value: np.ndarray        # (m,)
     clamp_l1: np.ndarray         # (m,) cumulative
     bound_margin: np.ndarray     # (m,) min over species/cells of bound - value
-    steady: SteadyState
     snapshots: list = field(default_factory=list)  # [(t, (species, cells))]
 
 
@@ -380,7 +286,6 @@ class _Recorder:
             min_value=minv,
             clamp_l1=clamp,
             bound_margin=margin,
-            steady=scenario.steady,
             snapshots=self.snapshots,
         )
 

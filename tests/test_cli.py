@@ -12,6 +12,7 @@ import pytest
 import rdlab
 from rdlab import diffusion
 from rdlab.cli import main
+from rdlab.network import steady_state
 
 ODE_CFG = """
 [scenario]
@@ -128,6 +129,24 @@ class TestVerify:
         times = np.array([float(row[0]) for row in rows[1:]])
         assert times.size == 401 and times[-1] == 8.0
         assert np.allclose(np.diff(times), 0.02, rtol=1e-12, atol=0.0)
+
+    def test_ode_verify_solves_its_steady_state_twice(self, tmp_path,
+                                                      monkeypatch):
+        # Once for parse_config's step budget and once for the run, whose
+        # reduction carries the steady state and the sharp rate.
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return steady_state(*args)
+
+        for name, module in list(sys.modules.items()):
+            if (name.split(".")[0] == "rdlab"
+                    and vars(module).get("steady_state") is steady_state):
+                monkeypatch.setattr(module, "steady_state", counted)
+        cfg = _write(tmp_path, "ode.cfg", ODE_CFG)
+        assert main(["verify", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == 2
 
     def test_ode_verify_of_order_three_takes_rk45(self, tmp_path, capsys):
         cfg = _write(tmp_path, "ode3.cfg",
@@ -311,6 +330,36 @@ class TestErrorPaths:
             main([command, cfg, *flag])
         assert exc.value.code == 2
         assert flag[0] in capsys.readouterr().err
+
+    def test_overflowing_rate_ratio_prints_only_the_issues(self, tmp_path):
+        # Run in a fresh interpreter: a numpy warning would print to stderr.
+        cfg = _write(tmp_path, "ratio.cfg", RD_QUICK_CFG.replace(
+            "beta = 0 0 1 1", "beta = 0 0 1 1\nl = 1e-300\nk = 1e300"))
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(rdlab.__file__).parent.parent))
+        proc = subprocess.run([sys.executable, "-m", "rdlab.cli", "verify",
+                               cfg, "--out", str(tmp_path / "out")],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert lines[0] == "error: invalid config:"
+        assert [line.split(":")[0] for line in lines[1:]] \
+            == ["  [bad-value] network.l", "  [bad-value] network.k"]
+
+    @pytest.mark.parametrize("command, text, line", [
+        ("verify", RD_QUICK_CFG, "species_1 = 2 + 0.4*cos(pi*x)"),
+        ("sweep", SWEEP_CFG, "species_1 = 1 + 0.2*cos(pi*x)"),
+    ])
+    def test_negative_initial_profile_is_rejected(self, tmp_path, capsys,
+                                                  command, text, line):
+        # Positive mean, negative near x = 1: the Scenario rejects it.
+        cfg = _write(tmp_path, "negative.cfg",
+                     text.replace(line, "species_1 = 0.5 + cos(pi*x)"))
+        assert main([command, cfg, "--out", str(tmp_path / "out")]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "nonnegative" in lines[0]
+        assert list(tmp_path.rglob("report.csv")) == []
 
     def test_kind_command_mismatch(self, tmp_path, capsys):
         cfg = _write(tmp_path, "gap.cfg", GAP_CFG)

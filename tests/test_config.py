@@ -1,3 +1,4 @@
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +115,18 @@ class TestNetworkRules:
             parse_config(text)
         assert [(i.code, i.path) for i in issues.value.issues] \
             == [(code, path) for path in paths]
+
+    def test_overflowing_rate_ratio_is_rejected_without_a_warning(self):
+        # k / l overflows to inf, and the normalization divides inf by inf;
+        # build_network's checks reject the result, so numpy stays quiet.
+        text = MINIMAL_RD.replace("beta = 0 0 1 1",
+                                  "beta = 0 0 1 1\nl = 1e-300\nk = 1e300")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError) as err:
+                parse_config(text)
+        assert [(i.code, i.path) for i in err.value.issues] \
+            == [("bad-value", "network.l"), ("bad-value", "network.k")]
 
     def test_ode_config_builds_its_network_once(self, monkeypatch):
         calls = []

@@ -6,8 +6,8 @@ from hypothesis import given, strategies as st
 
 from conftest import random_low_order_network
 from rdlab.network import build_network, conservation_basis
-from rdlab.rdsim import (_reaction_substep, _riccati_flow, _rk4,
-                         clamped_mass_action)
+from rdlab.kinetics import _riccati_flow, _rk4, clamped_mass_action
+from rdlab.rdsim import _reaction_substep
 
 seeds = st.integers(0, 2**32 - 1)
 
